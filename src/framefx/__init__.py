@@ -16,8 +16,7 @@ from .harness import ExperimentPlan, improvement_vs_none, mean_history, \
 from .optim import OptimizerConfig, RunRecord, de_run, initialize_population, pso_run
 from .problems import Problem, SteppedColumnSpec, attach_fx, frame_problem, \
     stepped_column_problem
-from .sections import CircularSectionSpec, SectionPool, SectionShape, \
-    circular_properties, load_bundled_pool, load_section_table, \
-    pool_index_of_nearest_area
+from .sections import SectionPool, SectionShape, circular_properties, \
+    load_bundled_pool, load_section_table, pool_index_of_nearest_area
 
 __version__ = "0.1.0"

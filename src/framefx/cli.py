@@ -14,14 +14,14 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import BUNDLED_CONFIGS, ConfigError, load_frame_config
-from .fea import StructuralInstabilityError, analyze
-from .fx import reduced_dimension
+from .evaluate import Evaluation, constraint_values
+from .fea import StructuralInstabilityError, analyze, frame_weight
+from .fx import STRATEGIES, reduced_dimension
 from .grouping import interaction_matrix, render_matrix
 from .harness import ExperimentPlan, PlanMismatchError, build_problem, cell_name, \
     default_cell_settings, load_records, mean_history, practicality_report, run_plan
+from .optim import ALGORITHMS
 from .sections import load_bundled_pool, load_section_table, BUNDLED_POOLS
 from .svgplot import line_chart
 
@@ -93,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(int_p, with_seed=False)
     int_p.add_argument("--eta", type=float, default=1e-10,
                        help="relative adjacency threshold")
-    int_p.add_argument("--jobs", type=int, default=1,
-                       help="parallel evaluation workers")
     int_p.add_argument("--out", help="output root (default $FRAMEFX_OUT or ./results)")
 
     plot_p = sub.add_parser("plot", help="emit figures for finished plans")
@@ -113,8 +111,8 @@ def cmd_run(args) -> int:
     spec = _problem_spec(args)
     problem = build_problem(spec)  # validates config before touching the output tree
 
-    algorithms = ("pso", "de") if args.algo == "all" else tuple(args.algo.split(","))
-    strategies = ("none", "ifx", "fx") if args.strategy == "all" \
+    algorithms = ALGORITHMS if args.algo == "all" else tuple(args.algo.split(","))
+    strategies = STRATEGIES if args.strategy == "all" \
         else tuple(args.strategy.split(","))
     population, max_fe = default_cell_settings(problem)
     if args.pop:
@@ -147,6 +145,10 @@ def cmd_run(args) -> int:
             else f"{s.improvement_vs_none_pct:.2f}"
         print(f"{cell_name(s.algorithm, s.strategy):<12}{s.median:>14.4f}"
               f"{s.mean:>14.4f}{s.best:>14.4f}{imp:>12}")
+    if all(s.failed == s.trials for s in summaries):
+        print("error: every trial failed; see the records' error field",
+              file=sys.stderr)
+        return 2
     return 0
 
 
@@ -157,8 +159,7 @@ def cmd_interactions(args) -> int:
     if probe is None:
         raise ConfigError([f"problem {problem.name} has no continuous relaxation "
                            f"for interaction analysis"])
-    matrix = interaction_matrix(probe.f, probe.lower, probe.upper, eta=args.eta,
-                                workers=args.jobs)
+    matrix = interaction_matrix(probe.f, probe.lower, probe.upper, eta=args.eta)
     out_dir = _out_root(args) / f"{problem.name}-interactions"
     paths = render_matrix(matrix, out_dir)
     n_edges = int(matrix.adjacency.sum() - matrix.n)  # off-diagonal, both directions
@@ -238,8 +239,7 @@ def cmd_validate(args) -> int:
     problem = build_problem(spec)
     n = problem.dimension
     if problem.rules:
-        reduced = reduced_dimension(problem.rules, n)
-        print(f"{n} variables, {reduced} under functioning")
+        print(f"{n} variables, {reduced_dimension(problem.rules, n)} under functioning")
     else:
         print(f"{n} variables, no functioning rules declared")
     if problem.frame is not None:
@@ -248,7 +248,8 @@ def cmd_validate(args) -> int:
         print(f"constraint families: {fams}")
         largest = tuple(pool[len(pool) - 1] for pool in ctx.pools)
         result = analyze(ctx.model, largest)  # probe at the stiffest sections
-        ev = problem.evaluate(np.array([len(p) - 1 for p in ctx.pools], dtype=float))
+        ev = Evaluation(frame_weight(ctx.model, largest),
+                        constraint_values(ctx.model, largest, result, ctx.constraint_set))
         print(f"probe at largest sections: max lateral displacement "
               f"{result.max_lateral_displacement:.4f} cm, "
               f"{'feasible' if ev.feasible else 'infeasible'}, "
@@ -279,13 +280,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, PlanMismatchError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except StructuralInstabilityError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, PlanMismatchError, StructuralInstabilityError,
+            FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

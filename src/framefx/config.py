@@ -15,8 +15,8 @@ from importlib import resources
 from pathlib import Path
 
 from .evaluate import VALID_FAMILIES, ConstraintSet
-from .fea import DOF_NAMES, FrameModel
-from .fx import FunctioningRule
+from .fea import DOF_NAMES, LEVEL_TOL, FrameModel
+from .fx import STRATEGIES, FunctioningRule
 from .sections import BUNDLED_POOLS, load_bundled_pool, load_section_table
 
 __all__ = [
@@ -32,8 +32,6 @@ BUNDLED_CONFIGS = {
     "frame-15story-3bay": "frame_15story_3bay.json",
     "frame-24story-3bay": "frame_24story_3bay.json",
 }
-
-STRATEGY_NAMES = ("none", "ifx", "fx")
 
 
 class ConfigError(ValueError):
@@ -70,11 +68,14 @@ def _check(doc):
 
     nodes = need("nodes", list)
     n_nodes = len(nodes) if nodes else 0
+    node_heights = []
     if nodes is not None:
         for i, nd in enumerate(nodes):
             if not (isinstance(nd, list) and len(nd) == 2
                     and all(isinstance(c, (int, float)) for c in nd)):
                 errs.append(f"nodes[{i}]: expected [x, y]")
+            else:
+                node_heights.append(nd[1])
 
     groups = need("groups", list)
     n_groups = len(groups) if groups else 0
@@ -133,6 +134,9 @@ def _check(doc):
     if levels:
         if levels[0] <= 0 or any(b <= a for a, b in zip(levels, levels[1:])):
             errs.append("story_levels: must be positive and strictly ascending")
+        for j, level in enumerate(levels):
+            if not any(abs(y - level) < LEVEL_TOL for y in node_heights):
+                errs.append(f"story_levels[{j}]: no node at height {level}")
 
     cons = need("constraints", dict)
     if cons is not None:
@@ -186,10 +190,10 @@ def _check(doc):
                 block = opt.get(key)
                 if block is not None and (
                         not isinstance(block, dict)
-                        or set(block) - set(STRATEGY_NAMES)
+                        or set(block) - set(STRATEGIES)
                         or any(not isinstance(v, int) or v <= 0 for v in block.values())):
                     errs.append(f"optimization.{key}: expected positive ints keyed "
-                                f"by {STRATEGY_NAMES}")
+                                f"by {STRATEGIES}")
 
     if doc.get("second_order", False):
         errs.append("second_order: only first-order analysis is available "

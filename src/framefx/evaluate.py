@@ -78,23 +78,32 @@ class ConstraintSet:
 
 @dataclass
 class Evaluation:
-    """One objective-plus-constraints evaluation (one FE charge)."""
+    """One objective-plus-constraints evaluation (one FE charge), or a whole
+    population of them when every field carries a leading design axis:
+    objective (p,), violations (p, c), normalized_violation (p,)."""
 
     objective: float
     violations: np.ndarray
     normalized_violation: float = field(default=None)  # type: ignore[assignment]
-    fe_count_charged: int = 1
 
     def __post_init__(self):
         self.violations = np.asarray(self.violations, dtype=float)
         if self.normalized_violation is None:
             # stateless default: each violated constraint is its own worst
             # case so far and contributes exactly 1
-            self.normalized_violation = float(np.count_nonzero(self.violations > 0))
+            self.normalized_violation = np.count_nonzero(self.violations > 0,
+                                                         axis=-1) * 1.0
+
+    def __getitem__(self, rows) -> "Evaluation":
+        """The designs at ``rows`` of a population."""
+        return Evaluation(self.objective[rows], self.violations[rows],
+                          self.normalized_violation[rows])
 
     @property
-    def feasible(self) -> bool:
-        return bool((self.violations <= 0).all())
+    def feasible(self):
+        """Whether every constraint holds; one bool per design of a population."""
+        ok = (self.violations <= 0).all(axis=-1)
+        return bool(ok) if ok.ndim == 0 else ok
 
 
 class GMaxTracker:
@@ -113,20 +122,23 @@ class GMaxTracker:
         if self.gmax is None:
             self.gmax = np.zeros(n)
 
-    def normalize(self, violations) -> float:
+    def normalize(self, violations):
+        """Normalized violation of one design (a float), or of each row of a
+        (p, c) generation (a (p,) array)."""
         g = np.asarray(violations, dtype=float)
-        self._ensure(g.size)
+        self._ensure(g.shape[-1])
         pos = np.maximum(g, 0.0)
         denom = np.maximum(self.gmax, pos)
         with np.errstate(invalid="ignore", divide="ignore"):
             ratios = np.where(pos > 0, pos / denom, 0.0)
-        return float(ratios.sum())
+        total = ratios.sum(axis=-1)
+        return float(total) if g.ndim == 1 else total
 
     def merge(self, violations_batch):
-        for g in violations_batch:
-            g = np.asarray(g, dtype=float)
-            self._ensure(g.size)
-            np.maximum(self.gmax, np.maximum(g, 0.0), out=self.gmax)
+        """Fold a generation's violations, one row per design, into the snapshot."""
+        g = np.asarray(violations_batch, dtype=float)
+        self._ensure(g.shape[-1])
+        np.maximum(self.gmax, np.maximum(g, 0.0).max(axis=0), out=self.gmax)
 
 
 def normalized_violation(violations, tracker: GMaxTracker) -> float:
@@ -148,20 +160,22 @@ def penalized_fitness(objective, normalized_violation_G, f_max_feasible) -> floa
     return float(f_max_feasible) + float(normalized_violation_G)
 
 
-def deb_compare(a: Evaluation, b: Evaluation) -> int:
+def deb_compare(a: Evaluation, b: Evaluation):
     """Feasibility-rule ordering: -1 if a ranks better, 1 if b does, 0 on ties.
 
     Feasible solutions compare by objective, a feasible solution beats any
     infeasible one, and infeasible solutions compare by normalized violation.
-    Callers keep the incumbent (first argument) on ties.
+    Callers keep the incumbent (first argument) on ties.  Two single
+    evaluations give an int; populations compare elementwise, broadcasting
+    like numpy, and give an int array.
     """
-    key_a = (0, a.objective) if a.feasible else (1, a.normalized_violation)
-    key_b = (0, b.objective) if b.feasible else (1, b.normalized_violation)
-    if key_a < key_b:
-        return -1
-    if key_a > key_b:
-        return 1
-    return 0
+    feasible_a, feasible_b = a.feasible, b.feasible
+    value_a = np.where(feasible_a, a.objective, a.normalized_violation)
+    value_b = np.where(feasible_b, b.objective, b.normalized_violation)
+    order = np.where(feasible_a == feasible_b,
+                     (value_a > value_b).astype(int) - (value_a < value_b),
+                     np.where(feasible_a, -1, 1))
+    return int(order) if order.ndim == 0 else order
 
 
 def column_critical_stress(lambda_c: float, fy: float) -> float:

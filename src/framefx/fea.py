@@ -11,13 +11,14 @@ Units: cm, kN, kN*cm, kg (density in kg/cm^3, stresses in kN/cm^2).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
     "DOF_NAMES",
+    "LEVEL_TOL",
     "FrameModel",
     "AnalysisResult",
     "MemberForces",
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 DOF_NAMES = ("ux", "uy", "rot")
-_LEVEL_TOL = 1e-6
+LEVEL_TOL = 1e-6  # cm; a node within this of a story level lies on it
 
 
 class StructuralInstabilityError(RuntimeError):
@@ -101,9 +102,6 @@ class FrameModel:
         (xa, ya), (xb, yb) = self.nodes[a], self.nodes[b]
         return float(np.hypot(xb - xa, yb - ya))
 
-    def member_role(self, i) -> str:
-        return self.group_roles[self.members[i][2]]
-
     def k_factor(self, group_id) -> float:
         if self.group_k_factors:
             return float(self.group_k_factors[group_id])
@@ -140,7 +138,6 @@ class AnalysisResult:
     max_lateral_displacement: float  # cm
     story_drifts: np.ndarray        # cm, per story
     story_heights: np.ndarray       # cm, per story
-    story_lateral: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def _local_stiffness(E, A, I, L):
@@ -268,7 +265,7 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
     if levels.size:
         lateral = np.empty(levels.size)
         for j, lv in enumerate(levels):
-            at_level = np.abs(ys - lv) < _LEVEL_TOL
+            at_level = np.abs(ys - lv) < LEVEL_TOL
             if not at_level.any():
                 raise ValueError(f"no nodes found at story level {lv}")
             lateral[j] = ux[at_level].mean()
@@ -276,7 +273,6 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
         drifts = np.abs(lateral - prev)
         heights = np.diff(np.concatenate(([0.0], levels)))
     else:
-        lateral = np.zeros(0)
         drifts = np.zeros(0)
         heights = np.zeros(0)
 
@@ -287,7 +283,6 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
         max_lateral_displacement=float(np.abs(ux).max()),
         story_drifts=drifts,
         story_heights=heights,
-        story_lateral=lateral,
     )
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .sections import SectionPool, pool_index_of_nearest_area
 
 __all__ = [
+    "STRATEGIES",
     "FunctioningRule",
     "AlphaBounds",
     "alpha_max",
@@ -25,8 +26,10 @@ __all__ = [
     "expand_discrete",
     "reduced_dimension",
     "validate_rules",
-    "wrap_objective",
 ]
+
+# search strategies: plain, functioning-seeded initialization, fully reduced
+STRATEGIES = ("none", "ifx", "fx")
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,3 @@ def reduced_dimension(rules, n: int) -> int:
     less the two profile parameters."""
     validate_rules(rules, n)
     return n - sum(r.replaced_count - FunctioningRule.PARAMETER_COUNT for r in rules)
-
-
-def wrap_objective(problem, rules=None):
-    """Reduced-space view of a problem (see problems.attach_fx)."""
-    from .problems import attach_fx
-
-    return attach_fx(problem, rules)

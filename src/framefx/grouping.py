@@ -7,15 +7,13 @@ variable pair (i, j) is the non-additivity of f across a four-point stencil:
 
 with base point x at the lower bounds and each perturbation moving one
 coordinate to its interval midpoint.  A separable pair gives lambda = 0 up
-to rounding.  Evaluations are shared through a cache so a full matrix costs
+to rounding.  Evaluations are memoized so a full matrix costs
 (n^2 + n + 2) / 2 evaluations.
 """
 
 from __future__ import annotations
 
 import csv
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -43,28 +41,7 @@ class InteractionMatrix:
     fe_cost: int
 
 
-class _PointCache:
-    """Concurrent insert-or-get evaluation cache keyed by perturbed ids."""
-
-    def __init__(self, f):
-        self._f = f
-        self._lock = threading.Lock()
-        self._values = {}
-
-    def get(self, key, point):
-        with self._lock:
-            if key in self._values:
-                return self._values[key]
-        value = float(self._f(point))
-        with self._lock:
-            self._values.setdefault(key, value)
-            return self._values[key]
-
-    def __len__(self):
-        return len(self._values)
-
-
-def interaction_matrix(f, lower, upper, eta=DEFAULT_ETA, workers=1) -> InteractionMatrix:
+def interaction_matrix(f, lower, upper, eta=DEFAULT_ETA) -> InteractionMatrix:
     """Build the full interaction matrix of ``f`` over [lower, upper].
 
     ``eta`` scales the adjacency threshold: a pair is flagged as interacting
@@ -87,26 +64,26 @@ def interaction_matrix(f, lower, upper, eta=DEFAULT_ETA, workers=1) -> Interacti
             x[i] = mid[i]
         return x
 
-    def safe_eval(cache, key):
-        x = point(key)
-        try:
-            return cache.get(key, x)
-        except Exception as exc:
-            raise RuntimeError(f"objective evaluation failed at point {x.tolist()}") from exc
+    cache = {}  # perturbed ids -> objective value
 
-    cache = _PointCache(f)
-    keys = [()] + [(i,) for i in range(n)] + list(combinations(range(n), 2))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda k: safe_eval(cache, k), keys))
-    f0 = safe_eval(cache, ())
-    singles = np.array([safe_eval(cache, (i,)) for i in range(n)])
+    def safe_eval(key):
+        if key not in cache:
+            x = point(key)
+            try:
+                cache[key] = float(f(x))
+            except Exception as exc:
+                raise RuntimeError(
+                    f"objective evaluation failed at point {x.tolist()}") from exc
+        return cache[key]
+
+    f0 = safe_eval(())
+    singles = np.array([safe_eval((i,)) for i in range(n)])
 
     lam = np.zeros((n, n))
     thresholds = np.zeros((n, n))
     adjacency = np.eye(n, dtype=bool)
     for i, j in combinations(range(n), 2):
-        fij = safe_eval(cache, (i, j))
+        fij = safe_eval((i, j))
         fi, fj = singles[i], singles[j]
         value = abs((fij - fj) - (fi - f0))
         thr = eta * max(1.0, abs(f0), abs(fi), abs(fj), abs(fij))

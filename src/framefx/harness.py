@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .optim import OptimizerConfig, RunRecord, run_optimizer
+from .fx import STRATEGIES
+from .optim import ALGORITHMS, OptimizerConfig, RunRecord, run_optimizer
 from .problems import Problem, SteppedColumnSpec, attach_fx, frame_problem, \
     sphere_problem, stepped_column_problem
 
@@ -39,9 +40,6 @@ __all__ = [
     "practicality_report",
     "load_records",
 ]
-
-STRATEGIES = ("none", "ifx", "fx")
-ALGORITHMS = ("pso", "de")
 
 FALLBACK_POPULATION = {"none": 25, "ifx": 25, "fx": 20}
 FALLBACK_MAX_FE = {"none": 5000, "ifx": 5000, "fx": 3000}

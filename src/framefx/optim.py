@@ -15,17 +15,17 @@ in how they initialize share the exact search stream afterwards.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .evaluate import Evaluation, GMaxTracker, deb_compare
+from .fx import STRATEGIES
 from .problems import Problem, attach_fx
 
 __all__ = [
+    "ALGORITHMS",
     "OptimizerConfig",
-    "Population",
     "RunRecord",
     "initialize_population",
     "pso_run",
@@ -34,7 +34,7 @@ __all__ = [
     "reflect_at_bounds",
 ]
 
-STRATEGIES = ("none", "ifx", "fx")
+ALGORITHMS = ("pso", "de")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class OptimizerConfig:
     variant: str = "rand/1/bin"
 
     def __post_init__(self):
-        if self.algorithm not in ("pso", "de"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.population_size < 4:
             raise ValueError("population_size must be >= 4 (DE mutation needs "
@@ -63,14 +63,6 @@ class OptimizerConfig:
             raise ValueError("max_fe must cover at least the initial population")
         if self.variant != "rand/1/bin":
             raise ValueError(f"unsupported DE variant {self.variant!r}")
-
-
-@dataclass
-class Population:
-    positions: np.ndarray
-    evaluations: list = field(default_factory=list)
-    velocities: np.ndarray | None = None
-    fe_used: int = 0
 
 
 @dataclass
@@ -107,8 +99,8 @@ def _uniform(rng, lower, upper, size):
 
 
 def initialize_population(problem: Problem, config: OptimizerConfig,
-                          strategy="none", rules=None, rng=None) -> Population:
-    """Build initial positions for the given strategy.
+                          strategy="none", rules=None, rng=None) -> np.ndarray:
+    """Initial positions, one row per particle, for the given strategy.
 
     none: uniform over the problem's own domains.
     ifx:  sample the reduced space uniformly, expand to full-space points,
@@ -124,19 +116,17 @@ def initialize_population(problem: Problem, config: OptimizerConfig,
     if strategy == "none":
         if problem.is_reduced:
             raise ValueError("strategy 'none' expects the full-space problem")
-        positions = _uniform(rng, problem.lower, problem.upper, pop)
-    elif strategy == "fx":
+        return _uniform(rng, problem.lower, problem.upper, pop)
+    if strategy == "fx":
         if not problem.is_reduced:
             raise ValueError("strategy 'fx' needs a reduced problem "
                              "(attach functioning rules first)")
-        positions = _uniform(rng, problem.lower, problem.upper, pop)
-    else:  # ifx
-        if problem.is_reduced:
-            raise ValueError("strategy 'ifx' expects the full-space problem")
-        reduced = attach_fx(problem, rules)
-        samples = _uniform(rng, reduced.lower, reduced.upper, pop)
-        positions = np.array([reduced.expand_full(s) for s in samples])
-    return Population(positions=positions)
+        return _uniform(rng, problem.lower, problem.upper, pop)
+    if problem.is_reduced:
+        raise ValueError("strategy 'ifx' expects the full-space problem")
+    reduced = attach_fx(problem, rules)
+    samples = _uniform(rng, reduced.lower, reduced.upper, pop)
+    return np.array([reduced.expand_full(s) for s in samples])
 
 
 def reflect_at_bounds(positions, velocities, lower, upper):
@@ -150,8 +140,20 @@ def reflect_at_bounds(positions, velocities, lower, upper):
     return positions, velocities
 
 
+def _argbest(ranked: Evaluation) -> int:
+    """Index of the first design no other design beats: what a sequential
+    scan that keeps the incumbent on ties would end on."""
+    unbeaten = (deb_compare(ranked[:, None], ranked) <= 0).all(axis=1)
+    return int(np.argmax(unbeaten))
+
+
 class _RunState:
-    """Budget, violation normalization and history bookkeeping for one run."""
+    """Budget, violation normalization and history bookkeeping for one run.
+
+    A generation is held as arrays: objectives f (p,) and violations g
+    (p, c).  Normalized violations are computed only where designs are
+    compared, against the GMax snapshot that already holds the generation.
+    """
 
     def __init__(self, problem, config, strategy, observers):
         self.problem = problem
@@ -162,45 +164,53 @@ class _RunState:
         self.fe_used = 0
         self.best_history = []
         self.infeasible_history = []
-        self.best_feasible_obj = None
-        self.best_feasible_vec = None
-        self.best_feasible_eval = None
+        self.best_feasible = None   # (x, f, g) of the best feasible design
 
-    def evaluate(self, x) -> Evaluation:
-        ev = self.problem.evaluate(x)
-        self.fe_used += 1
-        ev.normalized_violation = self.tracker.normalize(ev.violations)
-        if ev.feasible and (self.best_feasible_obj is None
-                            or ev.objective < self.best_feasible_obj):
-            self.best_feasible_obj = ev.objective
-            self.best_feasible_vec = np.array(x, dtype=float)
-            self.best_feasible_eval = ev
-        return ev
+    def evaluate(self, X):
+        """Evaluate one generation and fold its violations into GMax.
+        Returns (f, g)."""
+        evals = [self.problem.evaluate(x) for x in X]
+        self.fe_used += len(evals)
+        f = np.array([ev.objective for ev in evals], dtype=float)
+        g = np.array([ev.violations for ev in evals], dtype=float)
+        finite = np.isfinite(f) & np.isfinite(g).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite objective or violation at design "
+                             f"{X[np.argmin(finite)].tolist()}")
+        self.tracker.merge(g)
+        feasible = np.flatnonzero((g <= 0).all(axis=1))
+        if feasible.size:
+            i = feasible[np.argmin(f[feasible])]
+            if self.best_feasible is None or f[i] < self.best_feasible[1]:
+                self.best_feasible = (X[i].copy(), float(f[i]), g[i].copy())
+        return f, g
+
+    def ranked(self, f, g) -> Evaluation:
+        """The designs (f, g) normalized against the current GMax snapshot."""
+        return Evaluation(f, g, self.tracker.normalize(g))
+
+    def improved(self, f, g, new_f, new_g) -> np.ndarray:
+        """Rows where the new design strictly beats the held one, both ranked
+        on the current GMax snapshot."""
+        both = self.ranked(np.r_[f, new_f], np.vstack((g, new_g)))
+        return np.flatnonzero(deb_compare(both[:len(f)], both[len(f):]) > 0)
 
     def remaining(self) -> int:
         return self.config.max_fe - self.fe_used
 
-    def merge_and_refresh(self, new_evals, *groups):
-        """Fold this generation's violations into the running maxima, then
-        re-normalize every live evaluation against the merged state so all
-        comparisons inside the generation share one consistent scale."""
-        self.tracker.merge([ev.violations for ev in new_evals])
-        for ev in itertools.chain(*groups):
-            ev.normalized_violation = self.tracker.normalize(ev.violations)
-
-    def record_history(self, population_evals):
-        frac = float(np.mean([not ev.feasible for ev in population_evals]))
-        self.best_history.append(self.best_feasible_obj)
+    def record_history(self, g):
+        frac = float(np.mean(~(g <= 0).all(axis=1)))
+        best = None if self.best_feasible is None else self.best_feasible[1]
+        self.best_history.append(best)
         self.infeasible_history.append(frac)
         gen = len(self.best_history) - 1
         for obs in self.observers:
-            obs(gen, self.fe_used, self.best_feasible_obj, frac)
+            obs(gen, self.fe_used, best, frac)
 
-    def make_record(self, fallback_vec, fallback_eval) -> RunRecord:
-        if self.best_feasible_eval is not None:
-            vec, ev = self.best_feasible_vec, self.best_feasible_eval
-        else:
-            vec, ev = np.array(fallback_vec, dtype=float), fallback_eval
+    def make_record(self, fallback_vec, fallback_f, fallback_g) -> RunRecord:
+        vec, f, g = self.best_feasible or (np.array(fallback_vec, dtype=float),
+                                           fallback_f, fallback_g)
+        ev = self.ranked(f, g)
         problem = self.problem
         if problem.is_reduced:
             full_vec = problem.expand_full(vec)
@@ -221,8 +231,8 @@ class _RunState:
             final_reduced_vector=reduced_vec,
             final_decoded=problem.decode(vec),
             final_objective=float(ev.objective),
-            final_violations=[float(g) for g in ev.violations],
-            final_feasible=bool(ev.feasible),
+            final_violations=[float(v) for v in ev.violations],
+            final_feasible=ev.feasible,
             final_normalized_violation=float(ev.normalized_violation),
             problem_name=problem.name,
         )
@@ -233,20 +243,18 @@ def pso_run(problem: Problem, config: OptimizerConfig, observers=(),
     """Global-best particle swarm with feasibility-rule best updates."""
     init_rng, rng = _rng_streams(config.rng_seed)
     state = _RunState(problem, config, strategy, observers)
-    X = initialize_population(problem, config, strategy, rules, rng=init_rng).positions
+    X = initialize_population(problem, config, strategy, rules, rng=init_rng)
     pop, n = X.shape
     lower, upper = problem.lower, problem.upper
     v_max = config.v_max_fraction * (upper - lower)
     V = np.zeros_like(X)
 
-    evals = [state.evaluate(x) for x in X]
-    state.merge_and_refresh(evals, evals)
-    state.record_history(evals)
+    f, g = state.evaluate(X)
+    state.record_history(g)
 
-    pbest_X = X.copy()
-    pbest_ev = list(evals)
-    g_idx = _deb_argbest(evals)
-    gbest_x, gbest_ev = X[g_idx].copy(), evals[g_idx]
+    pbest_X, pbest_f, pbest_g = X.copy(), f.copy(), g.copy()
+    best = _argbest(state.ranked(f, g))
+    gbest_x, gbest_f, gbest_g = X[best].copy(), f[best], g[best].copy()
 
     while state.remaining() > 0:
         m = min(pop, state.remaining())
@@ -259,20 +267,21 @@ def pso_run(problem: Problem, config: OptimizerConfig, observers=(),
         X_new, V = reflect_at_bounds(X + V, V, lower, upper)
         # with a partial budget only the first m particles move this generation
         X[:m] = X_new[:m]
-        for i in range(m):
-            evals[i] = state.evaluate(X[i])
-        state.merge_and_refresh(evals[:m], evals, pbest_ev, [gbest_ev])
-        state.record_history(evals)
+        f[:m], g[:m] = state.evaluate(X[:m])
+        state.record_history(g)
 
-        for i in range(m):
-            if deb_compare(pbest_ev[i], evals[i]) > 0:
-                pbest_ev[i] = evals[i]
-                pbest_X[i] = X[i]
-            if deb_compare(gbest_ev, pbest_ev[i]) > 0:
-                gbest_ev = pbest_ev[i]
-                gbest_x = pbest_X[i].copy()
+        better = state.improved(pbest_f[:m], pbest_g[:m], f[:m], g[:m])
+        pbest_X[better] = X[better]
+        pbest_f[better] = f[better]
+        pbest_g[better] = g[better]
+        # the global best heads the scan, so it survives ties
+        best = _argbest(state.ranked(np.r_[gbest_f, pbest_f[:m]],
+                                     np.vstack((gbest_g, pbest_g[:m]))))
+        if best:
+            gbest_x, gbest_f, gbest_g = (pbest_X[best - 1].copy(), pbest_f[best - 1],
+                                         pbest_g[best - 1].copy())
 
-    return state.make_record(gbest_x, gbest_ev)
+    return state.make_record(gbest_x, gbest_f, gbest_g)
 
 
 def de_run(problem: Problem, config: OptimizerConfig, observers=(),
@@ -285,13 +294,12 @@ def de_run(problem: Problem, config: OptimizerConfig, observers=(),
     """
     init_rng, rng = _rng_streams(config.rng_seed)
     state = _RunState(problem, config, strategy, observers)
-    X = initialize_population(problem, config, strategy, rules, rng=init_rng).positions
+    X = initialize_population(problem, config, strategy, rules, rng=init_rng)
     pop, n = X.shape
     lower, upper = problem.lower, problem.upper
 
-    evals = [state.evaluate(x) for x in X]
-    state.merge_and_refresh(evals, evals)
-    state.record_history(evals)
+    f, g = state.evaluate(X)
+    state.record_history(g)
 
     while state.remaining() > 0:
         m = min(pop, state.remaining())
@@ -306,24 +314,15 @@ def de_run(problem: Problem, config: OptimizerConfig, observers=(),
         np.clip(mutants, lower, upper, out=mutants)  # return to the violated bound
         trials = np.where(cross, mutants, X[:m])
 
-        trial_evals = [state.evaluate(t) for t in trials]
-        state.merge_and_refresh(trial_evals, evals, trial_evals)
-        for i in range(m):
-            if deb_compare(evals[i], trial_evals[i]) > 0:
-                evals[i] = trial_evals[i]
-                X[i] = trials[i]
-        state.record_history(evals)
+        trial_f, trial_g = state.evaluate(trials)
+        won = state.improved(f[:m], g[:m], trial_f, trial_g)
+        X[won] = trials[won]
+        f[won] = trial_f[won]
+        g[won] = trial_g[won]
+        state.record_history(g)
 
-    b_idx = _deb_argbest(evals)
-    return state.make_record(X[b_idx], evals[b_idx])
-
-
-def _deb_argbest(evals) -> int:
-    best = 0
-    for i in range(1, len(evals)):
-        if deb_compare(evals[best], evals[i]) > 0:
-            best = i
-    return best
+    best = _argbest(state.ranked(f, g))
+    return state.make_record(X[best], f[best], g[best])
 
 
 def run_optimizer(problem, config, observers=(), strategy="none", rules=None) -> RunRecord:

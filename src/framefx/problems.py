@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fea
 from .config import build_frame, load_frame_config
-from .evaluate import Evaluation, constraint_values
+from .evaluate import Evaluation, constraint_labels, constraint_values
 from .fx import FunctioningRule, alpha_bounds_for, expand_continuous, expand_discrete, \
     reduced_dimension, validate_rules
 from .sections import SectionPool, interpolated_properties
@@ -212,7 +212,7 @@ def frame_problem(config_source) -> Problem:
     )
 
     probe_n = len(pools)
-    n_constraints = _frame_constraint_count(model, cs)
+    n_constraints = len(constraint_labels(model, cs))
 
     def assignment_for(indices):
         return tuple(pools[g][int(i)] for g, i in enumerate(indices))
@@ -263,19 +263,6 @@ def _round_index_vector(x, domains):
     x = np.asarray(x, dtype=float)
     return [min(max(round(float(v)), int(d.lower)), int(d.upper))
             for v, d in zip(x, domains)]
-
-
-def _frame_constraint_count(model, cs):
-    n = 0
-    if "stress" in cs.families:
-        n += len(model.members)
-    if "lateral_drift" in cs.families:
-        n += 1
-    if "interstory_drift" in cs.families:
-        n += len(model.story_levels)
-    if "lrfd_interaction" in cs.families:
-        n += len(model.members)
-    return n
 
 
 def attach_fx(problem: Problem, rules=None) -> Problem:

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "SectionShape",
     "SectionPool",
-    "CircularSectionSpec",
     "SectionTableError",
     "load_section_table",
     "load_bundled_pool",
@@ -110,20 +109,6 @@ class SectionPool:
     @property
     def max_area(self) -> float:
         return float(self._areas[-1])
-
-
-@dataclass(frozen=True)
-class CircularSectionSpec:
-    """Continuous circular-section design space, bounded by radius."""
-
-    radius_min: float  # cm
-    radius_max: float  # cm
-
-    def __post_init__(self):
-        if not 0 < self.radius_min < self.radius_max:
-            raise ValueError(
-                f"need 0 < radius_min < radius_max, got [{self.radius_min}, {self.radius_max}]"
-            )
 
 
 def load_section_table(source, label="") -> SectionPool:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from framefx.cli import build_parser, main
@@ -59,6 +60,26 @@ class TestRun:
                        "--pop", "8", "--max-fe", "32", "--out", str(out_dir))
         assert code == 0
         assert list(workdir.iterdir()) == []
+
+    def test_every_trial_failed_exits_2(self, tmp_path, capsys, monkeypatch):
+        from framefx import harness
+        from framefx.evaluate import Evaluation
+
+        real_sphere = harness.sphere_problem
+
+        def nan_sphere(dimension=5):
+            problem = real_sphere(dimension=dimension)
+            problem.evaluate = lambda x: Evaluation(objective=np.nan, violations=[])
+            return problem
+
+        monkeypatch.setattr(harness, "sphere_problem", nan_sphere)
+        code = run_cli("run", "--problem", "sphere", "--strategy", "none",
+                       "--trials", "2", "--pop", "8", "--max-fe", "16",
+                       "--jobs", "1", "--out", str(tmp_path))
+        assert code == 2
+        assert "every trial failed" in capsys.readouterr().err
+        record = json.loads((tmp_path / "sphere-5" / "pso-none" / "0.json").read_text())
+        assert record["failed"] and "non-finite" in record["error"]
 
     def test_seed_in_help(self, capsys):
         parser = build_parser()
@@ -121,6 +142,22 @@ class TestValidate:
         assert run_cli("validate", "--config", str(path)) == 1
         err = capsys.readouterr().err
         assert "disjoint" in err and "group 2" in err
+
+    def test_story_level_without_nodes_rejected_at_load(self, tmp_path, capsys):
+        doc = dict(load_frame_config("frame-8story-1bay"))
+        levels = list(doc["story_levels"])
+        levels[3] += 1.0  # 1 cm off the floor's nodes
+        doc["story_levels"] = levels
+        path = tmp_path / "moved-level.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "results"
+        assert run_cli("validate", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert f"story_levels[3]: no node at height {levels[3]}" in captured.err
+        assert run_cli("run", "--config", str(path), "--trials", "1",
+                       "--out", str(out_dir)) == 1
+        assert not out_dir.exists()
 
     def test_unstable_supports_diagnosed(self, tmp_path, capsys):
         doc = {

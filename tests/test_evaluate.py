@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from framefx.evaluate import (
     COLUMN_ELASTIC_COEF,
@@ -64,6 +64,31 @@ class TestDebCompare:
         if deb_compare(a, b) <= 0 and deb_compare(b, c) <= 0:
             assert deb_compare(a, c) <= 0
 
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(1, 3),
+                              st.booleans(), st.integers(0, 3), st.integers(1, 3)),
+                    min_size=1, max_size=12))
+    def test_array_form_matches_scalar_elementwise(self, rows):
+        # small integer values so ties and feasibility mixes are common
+        def batch(cols):
+            feasible, obj, g = (np.array(c) for c in cols)
+            return Evaluation(objective=obj.astype(float),
+                              violations=np.where(feasible, -1.0, 1.0)[:, None],
+                              normalized_violation=g.astype(float))
+
+        cols = list(zip(*rows))
+        a, b = batch(cols[:3]), batch(cols[3:])
+        order = deb_compare(a, b)
+        assert order.tolist() == [deb_compare(a[i], b[i]) for i in range(len(rows))]
+        for i in range(len(rows)):
+            assert deb_compare(a[i], b[i]) == _tuple_key_oracle(a[i], b[i])
+
+
+def _tuple_key_oracle(a, b):
+    """The lexicographic-key form of the feasibility rules."""
+    key_a = (0, a.objective) if a.feasible else (1, a.normalized_violation)
+    key_b = (0, b.objective) if b.feasible else (1, b.normalized_violation)
+    return int(key_a > key_b) - int(key_a < key_b)
+
 
 class TestNormalizedViolation:
     def test_all_satisfied_gives_zero(self):
@@ -91,6 +116,26 @@ class TestNormalizedViolation:
         assert values[0] == pytest.approx(1.0)   # snapshot empty, self-seeded
         assert values[1] == pytest.approx(2.0)
         assert t.normalize(batch[0]) == pytest.approx(2.0 / 5.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 300))
+    def test_generation_forms_match_per_design_forms(self, seed, p, c):
+        # bit for bit, also past numpy's 128-element pairwise-summation block
+        rng = np.random.default_rng(seed)
+        history = rng.normal(size=(3, c))
+        generation = rng.normal(size=(p, c))
+        batch, single = GMaxTracker(), GMaxTracker()
+        batch.merge(history)
+        for g in history:
+            single.merge([g])
+        before = batch.normalize(generation)
+        assert before.tolist() == [single.normalize(g) for g in generation]
+        batch.merge(generation)
+        for g in generation:
+            single.merge([g])
+        assert batch.gmax.tolist() == single.gmax.tolist()
+        assert batch.normalize(generation).tolist() == \
+            [single.normalize(g) for g in generation]
 
     @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))
     def test_monotone_in_violation(self, g1, g2):

@@ -179,14 +179,3 @@ class TestWrapObjective:
         xr = np.array([base, a])
         full = reduced.expand_full(xr)
         assert reduced.evaluate(xr).objective == problem.evaluate(full).objective
-
-
-class TestWrapDelegation:
-    def test_wrap_objective_matches_attach_fx(self):
-        from framefx.fx import wrap_objective
-        problem = stepped_column_problem(SteppedColumnSpec(segment_count=6))
-        wrapped = wrap_objective(problem)
-        assert wrapped.dimension == 2
-        xr = np.array([12.0, 1.002])
-        assert wrapped.evaluate(xr).objective == \
-            attach_fx(problem).evaluate(xr).objective

@@ -63,12 +63,6 @@ class TestInteractionMatrix:
         row = m.adjacency[i] & ~np.eye(5, dtype=bool)[i]
         assert not row.any()
 
-    def test_workers_give_identical_result(self):
-        f = lambda x: float(x[0] * x[1] + np.sum(np.asarray(x) ** 2))
-        m1 = interaction_matrix(f, np.zeros(4), np.ones(4), workers=1)
-        m2 = interaction_matrix(f, np.zeros(4), np.ones(4), workers=4)
-        assert np.array_equal(m1.lam, m2.lam)
-
     def test_evaluation_failure_carries_point(self):
         def f(x):
             if x[1] > 0.4:

@@ -12,6 +12,7 @@ from framefx.harness import (
     practicality_report,
     run_plan,
 )
+from framefx.evaluate import Evaluation
 from framefx.optim import RunRecord
 from framefx.problems import attach_fx, frame_problem
 
@@ -91,8 +92,27 @@ class TestRunPlan:
         assert all(s.failed == 2 and s.completed == 0 for s in summaries)
         assert all(np.isnan(s.median) for s in summaries)
 
+    def test_non_finite_objective_fails_the_trial_not_the_plan(self, tmp_path,
+                                                               monkeypatch):
+        real_build = harness.build_problem
+
+        def nan_build(spec):
+            problem = real_build(spec)
+            orig = problem.evaluate
+            problem.evaluate = lambda x: Evaluation(objective=np.nan,
+                                                    violations=orig(x).violations)
+            return problem
+
+        monkeypatch.setattr(harness, "build_problem", nan_build)
+        records, summaries, _ = run_plan(tiny_plan(trials=2), tmp_path)
+        failed = [r for recs in records.values() for r in recs]
+        assert len(failed) == 4 and all(r.failed for r in failed)
+        assert all("non-finite objective or violation at design [" in r.error
+                   for r in failed)
+        assert (tmp_path / "t" / "summary.csv").exists()
+
     def test_final_designs_reevaluate_identically(self, tmp_path):
-        plan = tiny_plan(trials=2, strategies=("none", "fx"), algorithms=("de",))
+        plan = tiny_plan(trials=2, strategies=("none", "fx"), algorithms=("pso", "de"))
         records, _, _ = run_plan(plan, tmp_path)
         problem = build_problem(plan.problem_spec)
         for recs in records.values():

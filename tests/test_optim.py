@@ -1,10 +1,14 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from framefx.optim import (
     OptimizerConfig,
+    _RunState,
+    _argbest,
     _rng_streams,
     de_run,
     initialize_population,
@@ -14,7 +18,7 @@ from framefx.optim import (
 )
 from framefx.problems import Domain, Problem, SteppedColumnSpec, attach_fx, \
     sphere_problem, stepped_column_problem
-from framefx.evaluate import Evaluation
+from framefx.evaluate import Evaluation, deb_compare
 
 
 def config(algorithm="pso", pop=25, max_fe=500, seed=0, **kw):
@@ -146,6 +150,27 @@ class TestBestTracking:
         assert ev.objective == record.final_objective
         assert np.array_equal(ev.violations, np.array(record.final_violations))
 
+    def test_best_feasible_survives_overwritten_generation(self):
+        # PSO writes later generations into the first generation's arrays;
+        # the saved best feasible design must keep its own violations
+        problem = stepped_column_problem(SteppedColumnSpec(segment_count=6))
+        state = _RunState(problem, config(pop=4, max_fe=8), "none", ())
+        X = np.full((4, 6), 50.0)                     # stiffest: all feasible
+        f, g = state.evaluate(X)
+        f[:], g[:] = state.evaluate(np.full((4, 6), 3.0))   # all infeasible
+        record = state.make_record(X[0], f[0], g[0])
+        ev = problem.evaluate(np.array(record.final_vector))
+        assert record.final_feasible
+        assert record.final_violations == ev.violations.tolist()
+
+    def test_pso_first_generation_best_reported_with_its_violations(self):
+        problem = stepped_column_problem(SteppedColumnSpec(segment_count=6))
+        record = pso_run(problem, config("pso", pop=10, max_fe=11, seed=2))
+        assert record.best_history[0] == record.best_history[-1]
+        ev = problem.evaluate(np.array(record.final_vector))
+        assert record.final_feasible and ev.feasible
+        assert record.final_violations == ev.violations.tolist()
+
 
 class TestDeMonotoneInfeasibility:
     def test_never_increases(self):
@@ -159,22 +184,22 @@ class TestDeMonotoneInfeasibility:
 class TestInitialization:
     def test_ifx_members_are_monotone_profiles(self):
         problem = stepped_column_problem(SteppedColumnSpec(segment_count=12))
-        popn = initialize_population(problem, config(pop=30), strategy="ifx")
-        assert popn.positions.shape == (30, 12)
-        for row in popn.positions:
+        positions = initialize_population(problem, config(pop=30), strategy="ifx")
+        assert positions.shape == (30, 12)
+        for row in positions:
             assert all(r2 <= r1 + 1e-12 for r1, r2 in zip(row, row[1:]))
 
     def test_fx_population_lives_in_reduced_space(self):
         problem = attach_fx(stepped_column_problem(SteppedColumnSpec(segment_count=12)))
-        popn = initialize_population(problem, config(pop=10), strategy="fx")
-        assert popn.positions.shape == (10, 2)
-        assert (popn.positions[:, 1] >= 1.0).all()
+        positions = initialize_population(problem, config(pop=10), strategy="fx")
+        assert positions.shape == (10, 2)
+        assert (positions[:, 1] >= 1.0).all()
 
     def test_none_uniform_over_box(self):
         problem = stepped_column_problem(SteppedColumnSpec(segment_count=12))
-        popn = initialize_population(problem, config(pop=50), strategy="none")
-        assert popn.positions.min() >= 3.0
-        assert popn.positions.max() <= 50.0
+        positions = initialize_population(problem, config(pop=50), strategy="none")
+        assert positions.min() >= 3.0
+        assert positions.max() <= 50.0
 
     def test_strategy_problem_mismatches_rejected(self):
         full = stepped_column_problem(SteppedColumnSpec(segment_count=6))
@@ -185,6 +210,41 @@ class TestInitialization:
             initialize_population(full, config(), strategy="fx")
         with pytest.raises(ValueError, match="unknown strategy"):
             initialize_population(full, config(), strategy="cheat")
+
+
+class TestArgbest:
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(1, 3)),
+                    min_size=1, max_size=15))
+    def test_matches_sequential_scan(self, rows):
+        # small integer values so ties decide often
+        feasible, obj, g = (np.array(c) for c in zip(*rows))
+        ranked = Evaluation(objective=obj.astype(float),
+                            violations=np.where(feasible, -1.0, 1.0)[:, None],
+                            normalized_violation=g.astype(float))
+        best = 0
+        for i in range(1, len(rows)):
+            if deb_compare(ranked[best], ranked[i]) > 0:
+                best = i
+        assert _argbest(ranked) == best
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("algorithm", ["pso", "de"])
+    @pytest.mark.parametrize("bad", ["objective", "violation"])
+    def test_raises_naming_the_design(self, algorithm, bad):
+        base = sphere_problem(dimension=3)
+
+        def evaluate(x):
+            objective, g = base.evaluate(x).objective, -1.0
+            if x[0] > 0.0:
+                objective, g = (np.nan, g) if bad == "objective" else (objective, np.inf)
+            return Evaluation(objective=objective, violations=[g])
+
+        problem = dataclasses.replace(base, evaluate=evaluate, n_constraints=1)
+        with pytest.raises(ValueError, match="non-finite objective or violation") as info:
+            run_optimizer(problem, config(algorithm, pop=10, max_fe=400, seed=1))
+        design = json.loads(str(info.value).split("at design ")[1])
+        assert len(design) == 3 and design[0] > 0.0
 
 
 class TestObservers:

@@ -164,17 +164,3 @@ class TestInterpolated:
     def test_clamped_to_catalog_range(self, small_pool):
         assert interpolated_properties(small_pool, 1.0).area == small_pool.min_area
         assert interpolated_properties(small_pool, 999.0).area == small_pool.max_area
-
-
-class TestCircularSpec:
-    def test_valid_range(self):
-        from framefx.sections import CircularSectionSpec
-        spec = CircularSectionSpec(3.0, 50.0)
-        assert spec.radius_min == 3.0
-
-    def test_inverted_range_rejected(self):
-        from framefx.sections import CircularSectionSpec
-        with pytest.raises(ValueError):
-            CircularSectionSpec(50.0, 3.0)
-        with pytest.raises(ValueError):
-            CircularSectionSpec(0.0, 3.0)
