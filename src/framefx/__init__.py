@@ -6,6 +6,9 @@ interaction analysis, and an experiment harness comparing three search
 strategies (plain, profile-seeded initialization, fully reparameterized).
 """
 
+# set before the submodules load: harness stamps it into every plan manifest
+__version__ = "0.2.0"
+
 from .evaluate import ConstraintSet, Evaluation, deb_compare, penalized_fitness
 from .fea import AnalysisResult, FrameModel, analyze, frame_weight, member_max_stress
 from .fx import AlphaBounds, FunctioningRule, alpha_max, expand_continuous, \
@@ -19,4 +22,3 @@ from .problems import Problem, SteppedColumnSpec, attach_fx, frame_problem, \
 from .sections import SectionPool, SectionShape, circular_properties, \
     load_bundled_pool, load_section_table, pool_index_of_nearest_area
 
-__version__ = "0.1.0"

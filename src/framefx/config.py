@@ -11,6 +11,7 @@ than a primary source.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -42,6 +43,12 @@ class ConfigError(ValueError):
         super().__init__("invalid frame config:\n  " + "\n  ".join(self.problems))
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number (booleans are not numbers here)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
 def _check(doc):
     errs = []
 
@@ -63,8 +70,8 @@ def _check(doc):
     if mat is not None:
         for key in ("elastic_modulus", "yield_stress", "density"):
             v = need(key, (int, float), mat, "material.")
-            if v is not None and v <= 0:
-                errs.append(f"material.{key}: must be positive, got {v}")
+            if v is not None and not (_is_number(v) and v > 0):
+                errs.append(f"material.{key}: expected a positive number, got {v!r}")
 
     nodes = need("nodes", list)
     n_nodes = len(nodes) if nodes else 0
@@ -72,7 +79,7 @@ def _check(doc):
     if nodes is not None:
         for i, nd in enumerate(nodes):
             if not (isinstance(nd, list) and len(nd) == 2
-                    and all(isinstance(c, (int, float)) for c in nd)):
+                    and all(_is_number(c) for c in nd)):
                 errs.append(f"nodes[{i}]: expected [x, y]")
             else:
                 node_heights.append(nd[1])
@@ -93,6 +100,10 @@ def _check(doc):
             elif pool not in BUNDLED_POOLS and not Path(pool).suffix == ".csv":
                 errs.append(f"groups[{i}].pool: unknown pool {pool!r} "
                             f"(bundled: {sorted(BUNDLED_POOLS)}, or a .csv path)")
+            k = g.get("k_factor", 1.0)
+            if not (_is_number(k) and k > 0):
+                errs.append(f"groups[{i}].k_factor: expected a positive number, "
+                            f"got {k!r}")
 
     members = need("members", list)
     if members is not None:
@@ -129,9 +140,15 @@ def _check(doc):
                 continue
             if not (isinstance(ld["node"], int) and 0 <= ld["node"] < n_nodes):
                 errs.append(f"loads[{i}].node: invalid index {ld['node']!r}")
+            for key in ("fx", "fy", "m"):
+                if key in ld and not _is_number(ld[key]):
+                    errs.append(f"loads[{i}].{key}: expected a number, got {ld[key]!r}")
 
     levels = need("story_levels", list)
-    if levels:
+    not_numbers = [j for j, level in enumerate(levels or ()) if not _is_number(level)]
+    errs += [f"story_levels[{j}]: expected a number, got {levels[j]!r}"
+             for j in not_numbers]
+    if levels and not not_numbers:
         if levels[0] <= 0 or any(b <= a for a, b in zip(levels, levels[1:])):
             errs.append("story_levels: must be positive and strictly ascending")
         for j, level in enumerate(levels):
@@ -147,6 +164,10 @@ def _check(doc):
                         f"{VALID_FAMILIES}")
         if cons.get("k_mode", "fixed") not in ("fixed", "sway"):
             errs.append(f"constraints.k_mode: expected fixed|sway")
+        for key in ("stress_allowable", "drift_index", "interstory_index",
+                    "roof_drift_limit_abs"):
+            if cons.get(key) is not None and not _is_number(cons[key]):
+                errs.append(f"constraints.{key}: expected a number, got {cons[key]!r}")
 
     rules = doc.get("functioning", [])
     if not isinstance(rules, list):
@@ -162,8 +183,10 @@ def _check(doc):
         if not (isinstance(gids, list) and all(isinstance(g, int) for g in gids)):
             errs.append(f"functioning[{i}].group_ids: expected list of group ids")
             continue
-        if not (isinstance(hts, list) and len(hts) == len(gids)):
-            errs.append(f"functioning[{i}].heights_cm: expected one height per group")
+        if not (isinstance(hts, list) and len(hts) == len(gids)
+                and all(_is_number(h) for h in hts)):
+            errs.append(f"functioning[{i}].heights_cm: expected one height (a number) "
+                        f"per group")
             continue
         for g in gids:
             if not 0 <= g < n_groups:

@@ -178,12 +178,25 @@ def deb_compare(a: Evaluation, b: Evaluation):
     return int(order) if order.ndim == 0 else order
 
 
-def column_critical_stress(lambda_c: float, fy: float) -> float:
+def _scalar_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def column_critical_stress(lambda_c, fy):
     """Column-curve critical stress: inelastic branch up to lambda_c = 1.5,
-    elastic beyond; the branches meet exactly at the seam."""
-    if lambda_c <= 1.5:
-        return 0.658 ** (lambda_c**2) * fy
-    return COLUMN_ELASTIC_COEF / lambda_c**2 * fy
+    elastic beyond; the branches meet exactly at the seam.  ``lambda_c`` may
+    be an array."""
+    lambda_c = np.asarray(lambda_c, dtype=float)
+    with np.errstate(divide="ignore"):
+        stress = np.where(lambda_c <= 1.5, 0.658 ** (lambda_c**2) * fy,
+                          COLUMN_ELASTIC_COEF / lambda_c**2 * fy)
+    return _scalar_or_array(stress)
+
+
+def _slenderness(k_factor, length, min_radius_of_gyration, elastic_modulus,
+                 yield_stress):
+    return (k_factor * length) / (min_radius_of_gyration * math.pi) \
+        * math.sqrt(yield_stress / elastic_modulus)
 
 
 def lrfd_strengths(shape, length, k_factor, elastic_modulus, yield_stress):
@@ -194,67 +207,55 @@ def lrfd_strengths(shape, length, k_factor, elastic_modulus, yield_stress):
     """
     if min(length, k_factor, elastic_modulus, yield_stress) <= 0:
         raise ValueError("length, k_factor, E and Fy must all be positive")
-    lambda_c = (k_factor * length) / (shape.min_radius_of_gyration * math.pi) \
-        * math.sqrt(yield_stress / elastic_modulus)
+    lambda_c = _slenderness(k_factor, length, shape.min_radius_of_gyration,
+                            elastic_modulus, yield_stress)
     p_n = shape.area * column_critical_stress(lambda_c, yield_stress)
     m_n = shape.plastic_modulus_x * yield_stress
     return p_n, m_n
 
 
-def lrfd_interaction_value(axial_ratio: float, moment_ratio: float) -> float:
+def lrfd_interaction_value(axial_ratio, moment_ratio):
     """Beam-column interaction value minus 1 (g <= 0 satisfied).
 
     ``axial_ratio`` is Pu / (phi_c * P_n), ``moment_ratio`` is
-    Mu / (phi_b * M_n); the low-axial branch halves the axial term.
+    Mu / (phi_b * M_n); the low-axial branch halves the axial term.  Either
+    may be an array.
     """
-    if axial_ratio < 0.2:
-        return axial_ratio / 2.0 + moment_ratio - 1.0
-    return axial_ratio + (8.0 / 9.0) * moment_ratio - 1.0
+    value = np.where(np.asarray(axial_ratio) < 0.2,
+                     axial_ratio / 2.0 + moment_ratio - 1.0,
+                     axial_ratio + (8.0 / 9.0) * moment_ratio - 1.0)
+    return _scalar_or_array(value)
 
 
-def effective_length_factor_sway(g_a: float, g_b: float) -> float:
+def effective_length_factor_sway(g_a, g_b):
     """Sway-frame effective length factor from end stiffness ratios
-    (Dumonteil's closed-form fit to the alignment chart)."""
-    return math.sqrt((1.6 * g_a * g_b + 4.0 * (g_a + g_b) + 7.5) / (g_a + g_b + 7.5))
+    (Dumonteil's closed-form fit to the alignment chart); takes arrays."""
+    return _scalar_or_array(
+        np.sqrt((1.6 * g_a * g_b + 4.0 * (g_a + g_b) + 7.5) / (g_a + g_b + 7.5)))
 
 
-def _joint_stiffness_ratios(model: FrameModel, assignment):
+def _joint_stiffness_ratios(kernel, assignment):
     """Per-node G = sum(I_col/L_col) / sum(I_beam/L_beam) for sway K factors."""
-    col = np.zeros(len(model.nodes))
-    beam = np.zeros(len(model.nodes))
-    for i, (a, b, g) in enumerate(model.members):
-        stiff = assignment[g].moment_of_inertia_x / model.member_length(i)
-        tgt = col if model.group_roles[g] == "column" else beam
-        tgt[a] += stiff
-        tgt[b] += stiff
-
-    fixed_rot = {n for n, dofs in model.supports if "rot" in dofs}
-    pinned = {n for n, dofs in model.supports if "rot" not in dofs}
-
-    ratios = np.empty(len(model.nodes))
-    for n in range(len(model.nodes)):
-        if n in fixed_rot:
-            ratios[n] = 1.0     # recommended value for a fixed base
-        elif n in pinned:
-            ratios[n] = 10.0    # recommended value for a pinned base
-        elif beam[n] > 0:
-            ratios[n] = col[n] / beam[n]
-        else:
-            ratios[n] = 10.0
-    return ratios
+    stiff = np.repeat(kernel.member_values(assignment, "moment_of_inertia_x")
+                      / kernel.length, 2)
+    column_end = np.repeat(kernel.is_column, 2)
+    ends = kernel.ends.ravel()  # a0, b0, a1, b1, ...: the per-member sum order
+    n = kernel.supported.size
+    col = np.bincount(ends, np.where(column_end, stiff, 0.0), minlength=n)
+    beam = np.bincount(ends, np.where(column_end, 0.0, stiff), minlength=n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        joint = np.where(beam > 0, col / beam, 10.0)
+    # recommended values for a fixed base (1) and a pinned base (10)
+    return np.where(kernel.rot_fixed, 1.0, np.where(kernel.supported, 10.0, joint))
 
 
-def _member_k_factors(model: FrameModel, assignment, cs: ConstraintSet):
+def _member_k_factors(kernel, assignment, cs: ConstraintSet):
     if cs.k_mode == "fixed":
-        return [model.k_factor(g) for _, _, g in model.members]
-    ratios = _joint_stiffness_ratios(model, assignment)
-    out = []
-    for a, b, g in model.members:
-        if model.group_roles[g] == "column":
-            out.append(effective_length_factor_sway(ratios[a], ratios[b]))
-        else:
-            out.append(1.0)
-    return out
+        return kernel.k_factor
+    ratios = _joint_stiffness_ratios(kernel, assignment)
+    a, b = kernel.ends.T
+    return np.where(kernel.is_column,
+                    effective_length_factor_sway(ratios[a], ratios[b]), 1.0)
 
 
 def constraint_values(model: FrameModel, assignment, result: AnalysisResult,
@@ -277,26 +278,25 @@ def constraint_values(model: FrameModel, assignment, result: AnalysisResult,
     if "interstory_drift" in cs.families:
         parts.append(result.story_drifts / result.story_heights - cs.interstory_index_RI)
     if "lrfd_interaction" in cs.families:
-        k_factors = _member_k_factors(model, assignment, cs)
+        kernel = model._kernel
         E, fy = model.elastic_modulus, model.yield_stress
-        g_lrfd = np.empty(len(model.members))
-        for i, (_, _, grp) in enumerate(model.members):
-            shape = assignment[grp]
-            f = result.member_forces[i]
-            m_n = shape.plastic_modulus_x * fy
-            moment_ratio = f.max_moment / (PHI_BENDING * m_n)
-            if model.group_roles[grp] == "beam":
-                # beams carry negligible axial force in these frames
-                g_lrfd[i] = moment_ratio - 1.0
-                continue
-            if f.axial < 0:  # compression
-                p_n, _ = lrfd_strengths(shape, model.member_length(i),
-                                        k_factors[i], E, fy)
-                axial_ratio = -f.axial / (PHI_COMPRESSION * p_n)
-            else:
-                axial_ratio = f.axial / (PHI_TENSION * shape.area * fy)
-            g_lrfd[i] = lrfd_interaction_value(axial_ratio, moment_ratio)
-        parts.append(g_lrfd)
+        area = kernel.member_values(assignment, "area")
+        axial = result.member_forces[:, 0]
+        max_moment = np.maximum(np.abs(result.member_forces[:, 2]),
+                                np.abs(result.member_forces[:, 3]))
+        m_n = kernel.member_values(assignment, "plastic_modulus_x") * fy
+        moment_ratio = max_moment / (PHI_BENDING * m_n)
+        lambda_c = _slenderness(
+            _member_k_factors(kernel, assignment, cs), kernel.length,
+            kernel.member_values(assignment, "min_radius_of_gyration"), E, fy)
+        p_n = area * column_critical_stress(lambda_c, fy)
+        axial_ratio = np.where(axial < 0,  # compression
+                               -axial / (PHI_COMPRESSION * p_n),
+                               axial / (PHI_TENSION * area * fy))
+        # beams carry negligible axial force in these frames
+        parts.append(np.where(kernel.is_column,
+                              lrfd_interaction_value(axial_ratio, moment_ratio),
+                              moment_ratio - 1.0))
     return np.concatenate(parts)
 
 

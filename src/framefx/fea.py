@@ -1,9 +1,12 @@
 """Linear-elastic planar frame analysis by the direct stiffness method.
 
 Elements are two-node Euler-Bernoulli frame members (axial + bending, 3 DOF
-per node: ux, uy, rot).  Analysis is first order with a dense Cholesky
-solve; problem sizes here stay in the low hundreds of DOFs, and the
-evaluation count, not the per-solve cost, dominates run time.
+per node: ux, uy, rot).  Analysis is first order.  Each model is compiled
+once into an array kernel (index maps, unit element stiffnesses and a
+scatter into banded storage); a design then costs one batched element
+build, one scatter, and a banded Cholesky factorization and solve, whose
+work grows with the half-bandwidth of the node numbering rather than with
+the full matrix.
 
 Units: cm, kN, kN*cm, kg (density in kg/cm^3, stresses in kN/cm^2).
 """
@@ -12,16 +15,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
     "DOF_NAMES",
+    "KERNEL_ID",
     "LEVEL_TOL",
     "FrameModel",
     "AnalysisResult",
-    "MemberForces",
     "StructuralInstabilityError",
     "analyze",
     "constrained_stiffness",
@@ -31,6 +35,13 @@ __all__ = [
 
 DOF_NAMES = ("ux", "uy", "rot")
 LEVEL_TOL = 1e-6  # cm; a node within this of a story level lies on it
+# names the solver that produced a result; stored with experiment records,
+# whose last bits depend on it
+KERNEL_ID = "banded-cholesky-1"
+
+# rows of the local end-force vector reported per member, in the order of
+# AnalysisResult.member_forces columns
+_FORCE_ROWS = [3, 1, 2, 5]  # axial (end b, tension +), shear, moment_a, moment_b
 
 
 class StructuralInstabilityError(RuntimeError):
@@ -85,6 +96,9 @@ class FrameModel:
         for role in self.group_roles:
             if role not in ("beam", "column"):
                 raise ValueError(f"unknown group role {role!r}")
+        if self.group_k_factors and (len(self.group_k_factors) != n_g
+                                     or not all(k > 0 for k in self.group_k_factors)):
+            raise ValueError("group_k_factors needs one positive factor per group")
 
     @property
     def n_groups(self) -> int:
@@ -96,11 +110,6 @@ class FrameModel:
         if self.story_levels:
             return float(self.story_levels[-1])
         return max(y for _, y in self.nodes)
-
-    def member_length(self, i) -> float:
-        a, b, _ = self.members[i]
-        (xa, ya), (xb, yb) = self.nodes[a], self.nodes[b]
-        return float(np.hypot(xb - xa, yb - ya))
 
     def k_factor(self, group_id) -> float:
         if self.group_k_factors:
@@ -115,84 +124,145 @@ class FrameModel:
                 out.add(3 * node + DOF_NAMES.index(d))
         return sorted(out)
 
+    @cached_property
+    def _kernel(self) -> "_Kernel":
+        # stored on the instance: the model is immutable, and the kernel is
+        # freed with it
+        return _Kernel(self)
 
-@dataclass(frozen=True)
-class MemberForces:
-    """Local end forces of one member (no span loading, so shear is constant)."""
 
-    axial: float     # kN, tension positive
-    shear: float     # kN
-    moment_a: float  # kN*cm at start node
-    moment_b: float  # kN*cm at end node
+def _local_stiffness(ea, ei, L):
+    """Local 6x6 stiffness of each member, (m, 6, 6), from EA/L, EI and L."""
+    ea, ei, L = np.broadcast_arrays(ea, ei, L)
+    z = np.zeros_like(L)
+    k1, k2, k3, k4 = 12 * ei / L**3, 6 * ei / L**2, 4 * ei / L, 2 * ei / L
+    rows = ((ea, z, z, -ea, z, z), (z, k1, k2, z, -k1, k2), (z, k2, k3, z, -k2, k4),
+            (-ea, z, z, ea, z, z), (z, -k1, -k2, z, k1, -k2), (z, k2, k4, z, -k2, k3))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
-    @property
-    def max_moment(self) -> float:
-        return max(abs(self.moment_a), abs(self.moment_b))
+
+def _rotation(c, s):
+    """Global-to-local transform of each member, (m, 6, 6)."""
+    t = np.zeros((c.size, 6, 6))
+    for o in (0, 3):
+        t[:, o, o] = t[:, o + 1, o + 1] = c
+        t[:, o, o + 1] = s
+        t[:, o + 1, o] = -s
+        t[:, o + 2, o + 2] = 1.0
+    return t
+
+
+class _Kernel:
+    """One FrameModel compiled to arrays.
+
+    A member's stiffness is linear in its section's area A and inertia I,
+    so each member is stored as its global stiffness and end-force rows per
+    unit A and per unit I, rotated once here; a design only scales them.
+    The free DOFs keep the model's numbering, and ``band_src``/``band_dst``
+    scatter the upper triangle of every element matrix straight into LAPACK
+    upper band storage, ``band[bw + i - j, j] = K[i, j]``.
+    """
+
+    def __init__(self, model: FrameModel):
+        nodes = np.array(model.nodes, dtype=float).reshape(-1, 2)
+        members = np.array(model.members, dtype=np.intp).reshape(-1, 3)
+        self.ends = members[:, :2]
+        self.group = members[:, 2]
+        dx, dy = (nodes[members[:, 1]] - nodes[members[:, 0]]).T
+        self.length = np.hypot(dx, dy)
+        self.group_length = np.bincount(self.group, weights=self.length,
+                                        minlength=model.n_groups)
+        self.is_column = np.array([r == "column" for r in model.group_roles],
+                                  dtype=bool)[self.group]
+        self.k_factor = np.array([model.k_factor(g) for g in range(model.n_groups)])[
+            self.group]
+
+        E, L = model.elastic_modulus, self.length
+        t = _rotation(dx / L, dy / L)
+        t_inv = t.transpose(0, 2, 1)
+        k_area = _local_stiffness(E / L, 0.0, L) @ t
+        k_inertia = _local_stiffness(0.0, E, L) @ t
+        self.stiffness_per_area = t_inv @ k_area
+        self.stiffness_per_inertia = t_inv @ k_inertia
+        self.forces_per_area = k_area[:, _FORCE_ROWS]
+        self.forces_per_inertia = k_inertia[:, _FORCE_ROWS]
+
+        self.n_dof = 3 * len(model.nodes)
+        self.dofs = np.concatenate([3 * self.ends[:, :1] + np.arange(3),
+                                    3 * self.ends[:, 1:] + np.arange(3)], axis=1)
+        self.fixed = np.array(model.constrained_dofs(), dtype=np.intp)
+        self.free = np.setdiff1d(np.arange(self.n_dof), self.fixed)
+        self.loads = np.zeros(self.n_dof)
+        for node, fx, fy, m in model.loads:
+            self.loads[3 * node:3 * node + 3] += (fx, fy, m)
+
+        position = np.full(self.n_dof, -1)
+        position[self.free] = np.arange(self.free.size)
+        row, col = np.broadcast_arrays(position[self.dofs][:, :, None],
+                                       position[self.dofs][:, None, :])
+        upper = (row >= 0) & (row <= col)
+        self.bandwidth = int((col - row)[upper].max(initial=0))
+        self.band_shape = (self.bandwidth + 1, self.free.size)
+        self.band_src = np.flatnonzero(upper)
+        self.band_dst = (self.bandwidth + row[upper] - col[upper]) * self.free.size \
+            + col[upper]
+
+        self.rot_fixed = np.zeros(len(model.nodes), dtype=bool)
+        self.supported = np.zeros(len(model.nodes), dtype=bool)
+        for node, dofs in model.supports:
+            self.supported[node] = True
+            self.rot_fixed[node] |= "rot" in dofs
+
+        levels = np.array(model.story_levels, dtype=float)
+        on_level = np.abs(nodes[:, 1] - levels[:, None]) < LEVEL_TOL
+        counts = on_level.sum(axis=1)
+        missing = levels[counts == 0]
+        self.missing_level = float(missing[0]) if missing.size else None
+        self.level_weights = on_level / np.maximum(counts, 1)[:, None]
+        self.story_heights = np.diff(np.concatenate(([0.0], levels)))
+
+    def member_values(self, assignment, attr) -> np.ndarray:
+        """Section property ``attr`` of each member's group, (m,)."""
+        return np.array([getattr(s, attr) for s in assignment])[self.group]
+
+    def element_stiffness(self, area, inertia) -> np.ndarray:
+        """Global stiffness of each member, (m, 6, 6)."""
+        return area[:, None, None] * self.stiffness_per_area \
+            + inertia[:, None, None] * self.stiffness_per_inertia
+
+    def instability(self, free_index) -> StructuralInstabilityError:
+        dof = int(self.free[min(free_index, self.free.size - 1)])
+        return StructuralInstabilityError(dof // 3, DOF_NAMES[dof % 3])
 
 
 @dataclass(frozen=True)
 class AnalysisResult:
     displacements: np.ndarray       # (n_nodes, 3): ux, uy, rot
-    member_forces: tuple            # MemberForces per member
+    member_forces: np.ndarray       # (n_members, 4): axial (tension +), shear,
+    #                                 moment_a, moment_b; kN and kN*cm
     reactions: np.ndarray           # (n_constrained,) kN / kN*cm
     max_lateral_displacement: float  # cm
     story_drifts: np.ndarray        # cm, per story
     story_heights: np.ndarray       # cm, per story
 
 
-def _local_stiffness(E, A, I, L):
-    ea = E * A / L
-    ei = E * I
-    l2, l3 = L * L, L**3
-    return np.array([
-        [ea, 0, 0, -ea, 0, 0],
-        [0, 12 * ei / l3, 6 * ei / l2, 0, -12 * ei / l3, 6 * ei / l2],
-        [0, 6 * ei / l2, 4 * ei / L, 0, -6 * ei / l2, 2 * ei / L],
-        [-ea, 0, 0, ea, 0, 0],
-        [0, -12 * ei / l3, -6 * ei / l2, 0, 12 * ei / l3, -6 * ei / l2],
-        [0, 6 * ei / l2, 2 * ei / L, 0, -6 * ei / l2, 4 * ei / L],
-    ])
-
-
-def _transform(c, s):
-    t = np.zeros((6, 6))
-    r = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    t[:3, :3] = r
-    t[3:, 3:] = r
-    return t
-
-
-def _member_geometry(model, i):
-    a, b, _ = model.members[i]
-    (xa, ya), (xb, yb) = model.nodes[a], model.nodes[b]
-    dx, dy = xb - xa, yb - ya
-    L = float(np.hypot(dx, dy))
-    return a, b, L, dx / L, dy / L
-
-
-def _assemble(model: FrameModel, assignment):
-    """Global stiffness matrix plus each member's (local k, transform, dofs)."""
-    n_dof = 3 * len(model.nodes)
-    K = np.zeros((n_dof, n_dof))
-    E = model.elastic_modulus
-    locals_cache = []
-    for i, (_, _, g) in enumerate(model.members):
-        a, b, L, c, s = _member_geometry(model, i)
-        shape = assignment[g]
-        k_loc = _local_stiffness(E, shape.area, shape.moment_of_inertia_x, L)
-        T = _transform(c, s)
-        k_glob = T.T @ k_loc @ T
-        idx = np.r_[3 * a:3 * a + 3, 3 * b:3 * b + 3]
-        K[np.ix_(idx, idx)] += k_glob
-        locals_cache.append((k_loc, T, idx))
-    return K, locals_cache
+def _check_assignment(model, assignment):
+    if len(assignment) != model.n_groups:
+        raise ValueError(
+            f"assignment length {len(assignment)} != group count {model.n_groups}"
+        )
 
 
 def constrained_stiffness(model: FrameModel, assignment) -> np.ndarray:
-    """Stiffness matrix after support elimination (free DOFs only)."""
-    K, _ = _assemble(model, assignment)
-    free = np.setdiff1d(np.arange(K.shape[0]), model.constrained_dofs())
-    return K[np.ix_(free, free)]
+    """Dense stiffness matrix after support elimination (free DOFs only)."""
+    _check_assignment(model, assignment)
+    kernel = model._kernel
+    ke = kernel.element_stiffness(kernel.member_values(assignment, "area"),
+                                  kernel.member_values(assignment, "moment_of_inertia_x"))
+    n = kernel.n_dof
+    flat = kernel.dofs[:, :, None] * n + kernel.dofs[:, None, :]
+    K = np.bincount(flat.ravel(), ke.ravel(), minlength=n * n).reshape(n, n)
+    return K[np.ix_(kernel.free, kernel.free)]
 
 
 def analyze(model: FrameModel, assignment) -> AnalysisResult:
@@ -202,104 +272,77 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
     StructuralInstabilityError when the constrained stiffness matrix is
     singular, naming the offending node/DOF.
     """
-    if len(assignment) != model.n_groups:
-        raise ValueError(
-            f"assignment length {len(assignment)} != group count {model.n_groups}"
-        )
-    K, locals_cache = _assemble(model, assignment)
-    n_dof = K.shape[0]
-
-    F = np.zeros(n_dof)
-    for node, fx, fy, m in model.loads:
-        F[3 * node:3 * node + 3] += (fx, fy, m)
-
-    fixed = model.constrained_dofs()
-    free = np.setdiff1d(np.arange(n_dof), fixed)
-    if free.size == 0:
+    _check_assignment(model, assignment)
+    kernel = model._kernel
+    if kernel.free.size == 0:
         raise ValueError("model has no free degrees of freedom")
-    K_ff = K[np.ix_(free, free)]
+    area = kernel.member_values(assignment, "area")
+    inertia = kernel.member_values(assignment, "moment_of_inertia_x")
+    ke = kernel.element_stiffness(area, inertia)
+    band = np.bincount(kernel.band_dst, ke.ravel()[kernel.band_src],
+                       minlength=kernel.band_shape[0] * kernel.band_shape[1])
 
     try:
-        cho = scipy.linalg.cho_factor(K_ff, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        cb = scipy.linalg.cholesky_banded(band.reshape(kernel.band_shape),
+                                          overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
         m = re.search(r"(\d+)-th leading minor", str(exc))
-        pivot = int(m.group(1)) - 1 if m else 0
-        dof_global = int(free[min(pivot, free.size - 1)])
-        raise StructuralInstabilityError(dof_global // 3, DOF_NAMES[dof_global % 3]) from None
+        raise kernel.instability(int(m.group(1)) - 1 if m else 0) from None
 
     # a mechanism can survive factorization with a roundoff-sized pivot;
     # stable frames here sit many orders above this threshold
-    diag = np.abs(np.diag(cho[0]))
+    diag = np.abs(cb[-1])
     rel_pivots = (diag / diag.max()) ** 2
     weakest = int(np.argmin(rel_pivots))
     if rel_pivots[weakest] < 1e-13:
-        dof_global = int(free[weakest])
-        raise StructuralInstabilityError(dof_global // 3, DOF_NAMES[dof_global % 3])
+        raise kernel.instability(weakest)
 
-    u_free = scipy.linalg.cho_solve(cho, F[free], check_finite=False)
-    u = np.zeros(n_dof)
-    u[free] = u_free
+    F = kernel.loads
+    u = np.zeros(kernel.n_dof)
+    u[kernel.free] = scipy.linalg.cho_solve_banded((cb, False), F[kernel.free],
+                                                   check_finite=False)
+    u_members = u[kernel.dofs]
 
-    reactions = (K @ u - F)[fixed]
+    # K u summed from the element end forces, fixed DOFs included
+    end_forces = np.einsum("mij,mj->mi", ke, u_members)
+    residual = np.bincount(kernel.dofs.ravel(), end_forces.ravel(),
+                           minlength=kernel.n_dof) - F
     # equilibrium guard: reactions must balance applied loads
     applied = np.abs(F).sum()
     for comp in (0, 1):
-        total = F[comp::3].sum() + (K @ u - F)[comp::3].sum()
+        total = F[comp::3].sum() + residual[comp::3].sum()
         if applied > 0 and abs(total) > 1e-8 * max(applied, 1.0):
-            dof_global = int(free[weakest])
-            raise StructuralInstabilityError(dof_global // 3, DOF_NAMES[dof_global % 3])
+            raise kernel.instability(weakest)
 
-    forces = []
-    for k_loc, T, idx in locals_cache:
-        f_loc = k_loc @ (T @ u[idx])
-        forces.append(MemberForces(
-            axial=float(f_loc[3]),
-            shear=float(f_loc[1]),
-            moment_a=float(f_loc[2]),
-            moment_b=float(f_loc[5]),
-        ))
+    forces = np.einsum("mij,mj->mi", area[:, None, None] * kernel.forces_per_area
+                       + inertia[:, None, None] * kernel.forces_per_inertia, u_members)
 
+    if kernel.missing_level is not None:
+        raise ValueError(f"no nodes found at story level {kernel.missing_level}")
     ux = u[0::3]
-    ys = np.array([y for _, y in model.nodes])
-    levels = np.array(model.story_levels, dtype=float)
-    if levels.size:
-        lateral = np.empty(levels.size)
-        for j, lv in enumerate(levels):
-            at_level = np.abs(ys - lv) < LEVEL_TOL
-            if not at_level.any():
-                raise ValueError(f"no nodes found at story level {lv}")
-            lateral[j] = ux[at_level].mean()
-        prev = np.concatenate(([0.0], lateral[:-1]))
-        drifts = np.abs(lateral - prev)
-        heights = np.diff(np.concatenate(([0.0], levels)))
-    else:
-        drifts = np.zeros(0)
-        heights = np.zeros(0)
+    lateral = kernel.level_weights @ ux
+    drifts = np.abs(np.diff(np.concatenate(([0.0], lateral))))
 
     return AnalysisResult(
         displacements=u.reshape(-1, 3),
-        member_forces=tuple(forces),
-        reactions=reactions,
+        member_forces=forces,
+        reactions=residual[kernel.fixed],
         max_lateral_displacement=float(np.abs(ux).max()),
         story_drifts=drifts,
-        story_heights=heights,
+        story_heights=kernel.story_heights.copy(),
     )
 
 
 def member_max_stress(model: FrameModel, assignment, result: AnalysisResult) -> np.ndarray:
     """Combined elastic stress per member: |N|/A + max|M|/Sx, kN/cm^2."""
-    out = np.empty(len(model.members))
-    for i, (_, _, g) in enumerate(model.members):
-        shape = assignment[g]
-        f = result.member_forces[i]
-        out[i] = abs(f.axial) / shape.area + f.max_moment / shape.section_modulus_x
-    return out
+    kernel = model._kernel
+    f = result.member_forces
+    max_moment = np.maximum(np.abs(f[:, 2]), np.abs(f[:, 3]))
+    return np.abs(f[:, 0]) / kernel.member_values(assignment, "area") \
+        + max_moment / kernel.member_values(assignment, "section_modulus_x")
 
 
 def frame_weight(model: FrameModel, assignment) -> float:
     """Total member weight: sum over groups of density * total length * area."""
-    lengths = np.zeros(model.n_groups)
-    for i, (_, _, g) in enumerate(model.members):
-        lengths[g] += model.member_length(i)
     areas = np.array([s.area for s in assignment])
-    return float(model.density * np.dot(lengths, areas))
+    return float(model.density * np.dot(model._kernel.group_length, areas))

@@ -2,7 +2,8 @@
 incrementally so interrupted plans resume without recomputation.
 
 Results layout under <out>/<plan-name>/:
-    plan.json                   manifest (problem spec + cell settings)
+    plan.json                   manifest (problem spec, cell settings, and the
+                                package version and fea kernel that wrote it)
     <algo>-<strategy>/<seed>.json   one RunRecord per trial
     summary.csv                 per-cell statistics
     histories/<cell>.csv        mean convergence / infeasible-fraction curves
@@ -23,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
+from .fea import KERNEL_ID
 from .fx import STRATEGIES
 from .optim import ALGORITHMS, OptimizerConfig, RunRecord, run_optimizer
 from .problems import Problem, SteppedColumnSpec, attach_fx, frame_problem, \
@@ -105,6 +108,8 @@ class ExperimentPlan:
     def to_manifest(self) -> dict:
         return {
             "format": 1,
+            "framefx_version": __version__,
+            "fea_kernel": KERNEL_ID,
             "name": self.name,
             "problem": self.problem_spec,
             "strategies": list(self.strategies),
@@ -174,11 +179,11 @@ def _atomic_write_text(path: Path, text):
 def run_trial(problem_spec, algorithm, strategy, seed, population, max_fe) -> RunRecord:
     """Execute one trial (also the process-pool entry point)."""
     problem = build_problem(problem_spec)
-    if strategy == "fx":
-        problem = attach_fx(problem)
     config = OptimizerConfig(algorithm=algorithm, population_size=population,
                              max_fe=max_fe, rng_seed=seed)
     try:
+        if strategy == "fx":
+            problem = attach_fx(problem)
         return run_optimizer(problem, config, strategy=strategy)
     except Exception as exc:  # aborted trial: recorded as failed, plan continues
         return RunRecord(
@@ -217,8 +222,10 @@ def run_plan(plan: ExperimentPlan, out_root, jobs=1, echo=None):
         existing = json.loads(manifest_path.read_text(encoding="utf-8"))
         if existing != manifest:
             raise PlanMismatchError(
-                f"{manifest_path} holds a different plan; use a new --plan-name "
-                f"or output directory"
+                f"{manifest_path} holds a different plan, or one written by other "
+                f"code (framefx {existing.get('framefx_version', 'before 0.2.0')}, "
+                f"fea kernel {existing.get('fea_kernel', 'dense')}); use a new "
+                f"--plan-name or output directory"
             )
     else:
         _atomic_write_json(manifest_path, manifest)

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -27,6 +28,10 @@ __all__ = [
 ]
 
 CSV_HEADER = ["name", "area_cm2", "ix_cm4", "sx_cm3", "zx_cm3", "rx_cm", "ry_cm", "depth_cm"]
+
+# the properties interpolated_properties interpolates in area
+_INTERPOLATED = ("moment_of_inertia_x", "section_modulus_x", "plastic_modulus_x",
+                 "radius_of_gyration_x", "radius_of_gyration_y", "depth")
 
 BUNDLED_POOLS = {
     "w-all": "w_shapes.csv",
@@ -101,6 +106,12 @@ class SectionPool:
         v = self._areas.view()
         v.flags.writeable = False
         return v
+
+    @cached_property
+    def _property_table(self) -> dict:
+        """One array per interpolated property, in pool order."""
+        return {attr: np.array([getattr(s, attr) for s in self.shapes])
+                for attr in _INTERPOLATED}
 
     @property
     def min_area(self) -> float:
@@ -220,18 +231,9 @@ def interpolated_properties(pool: SectionPool, area: float) -> SectionShape:
     """
     areas = pool.areas
     a = float(min(max(area, areas[0]), areas[-1]))
-
-    def interp(attr):
-        vals = np.array([getattr(s, attr) for s in pool.shapes])
-        return float(np.interp(a, areas, vals))
-
     return SectionShape(
         name=f"{pool.label or 'pool'}-interp-{a:.3f}",
         area=a,
-        moment_of_inertia_x=interp("moment_of_inertia_x"),
-        section_modulus_x=interp("section_modulus_x"),
-        plastic_modulus_x=interp("plastic_modulus_x"),
-        radius_of_gyration_x=interp("radius_of_gyration_x"),
-        radius_of_gyration_y=interp("radius_of_gyration_y"),
-        depth=interp("depth"),
+        **{attr: float(np.interp(a, areas, values))
+           for attr, values in pool._property_table.items()},
     )

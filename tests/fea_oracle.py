@@ -1,0 +1,229 @@
+"""Reference implementations kept as oracles for the array kernel in ``fea``
+and the vectorized checks in ``evaluate``.
+
+These are the original per-member loops: element stiffness built and
+rotated one member at a time, scattered into a dense global matrix, solved
+with a dense Cholesky factorization, and constraints evaluated member by
+member.  They are slow and plain on purpose; tests compare the fast paths
+against them.
+"""
+
+import math
+import re
+
+import numpy as np
+import scipy.linalg
+
+from framefx.evaluate import COLUMN_ELASTIC_COEF, PHI_BENDING, PHI_COMPRESSION, \
+    PHI_TENSION
+
+
+def local_stiffness(E, A, I, L):
+    ea = E * A / L
+    ei = E * I
+    l2, l3 = L * L, L**3
+    return np.array([
+        [ea, 0, 0, -ea, 0, 0],
+        [0, 12 * ei / l3, 6 * ei / l2, 0, -12 * ei / l3, 6 * ei / l2],
+        [0, 6 * ei / l2, 4 * ei / L, 0, -6 * ei / l2, 2 * ei / L],
+        [-ea, 0, 0, ea, 0, 0],
+        [0, -12 * ei / l3, -6 * ei / l2, 0, 12 * ei / l3, -6 * ei / l2],
+        [0, 6 * ei / l2, 2 * ei / L, 0, -6 * ei / l2, 4 * ei / L],
+    ])
+
+
+def transform(c, s):
+    t = np.zeros((6, 6))
+    r = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    t[:3, :3] = r
+    t[3:, 3:] = r
+    return t
+
+
+def member_length(model, i):
+    a, b, _ = model.members[i]
+    (xa, ya), (xb, yb) = model.nodes[a], model.nodes[b]
+    return float(np.hypot(xb - xa, yb - ya))
+
+
+def assemble(model, assignment):
+    """Dense global stiffness plus each member's (local k, transform, dofs)."""
+    n_dof = 3 * len(model.nodes)
+    K = np.zeros((n_dof, n_dof))
+    locals_cache = []
+    for i, (a, b, g) in enumerate(model.members):
+        (xa, ya), (xb, yb) = model.nodes[a], model.nodes[b]
+        L = member_length(model, i)
+        shape = assignment[g]
+        k_loc = local_stiffness(model.elastic_modulus, shape.area,
+                                shape.moment_of_inertia_x, L)
+        T = transform((xb - xa) / L, (yb - ya) / L)
+        idx = np.r_[3 * a:3 * a + 3, 3 * b:3 * b + 3]
+        K[np.ix_(idx, idx)] += T.T @ k_loc @ T
+        locals_cache.append((k_loc, T, idx))
+    return K, locals_cache
+
+
+def load_vector(model):
+    F = np.zeros(3 * len(model.nodes))
+    for node, fx, fy, m in model.loads:
+        F[3 * node:3 * node + 3] += (fx, fy, m)
+    return F
+
+
+def free_dofs(model):
+    return np.setdiff1d(np.arange(3 * len(model.nodes)), model.constrained_dofs())
+
+
+def constrained_stiffness(model, assignment):
+    K, _ = assemble(model, assignment)
+    free = free_dofs(model)
+    return K[np.ix_(free, free)]
+
+
+def dense_solve(model, assignment):
+    """(displacements (n_nodes, 3), member forces (m, 4), reactions) by a
+    dense Cholesky solve; force columns are axial, shear, moment_a, moment_b."""
+    K, locals_cache = assemble(model, assignment)
+    F = load_vector(model)
+    free = free_dofs(model)
+    cho = scipy.linalg.cho_factor(K[np.ix_(free, free)])
+    u = np.zeros(K.shape[0])
+    u[free] = scipy.linalg.cho_solve(cho, F[free])
+    reactions = (K @ u - F)[model.constrained_dofs()]
+    forces = np.array([(k_loc @ (T @ u[idx]))[[3, 1, 2, 5]]
+                       for k_loc, T, idx in locals_cache]).reshape(-1, 4)
+    return u.reshape(-1, 3), forces, reactions
+
+
+def column_critical_stress(lambda_c, fy):
+    if lambda_c <= 1.5:
+        return 0.658 ** (lambda_c**2) * fy
+    return COLUMN_ELASTIC_COEF / lambda_c**2 * fy
+
+
+def lrfd_strengths(shape, length, k_factor, elastic_modulus, yield_stress):
+    lambda_c = (k_factor * length) / (shape.min_radius_of_gyration * math.pi) \
+        * math.sqrt(yield_stress / elastic_modulus)
+    p_n = shape.area * column_critical_stress(lambda_c, yield_stress)
+    return p_n, shape.plastic_modulus_x * yield_stress
+
+
+def lrfd_interaction_value(axial_ratio, moment_ratio):
+    if axial_ratio < 0.2:
+        return axial_ratio / 2.0 + moment_ratio - 1.0
+    return axial_ratio + (8.0 / 9.0) * moment_ratio - 1.0
+
+
+def effective_length_factor_sway(g_a, g_b):
+    return math.sqrt((1.6 * g_a * g_b + 4.0 * (g_a + g_b) + 7.5) / (g_a + g_b + 7.5))
+
+
+def dense_instability(model, assignment):
+    """(node, dof name) that the dense solve's pivot checks name for an
+    unstable model, or None when it factors with healthy pivots."""
+    K, _ = assemble(model, assignment)
+    free = free_dofs(model)
+    try:
+        cho = scipy.linalg.cho_factor(K[np.ix_(free, free)], check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        pivot = int(re.search(r"(\d+)-th leading minor", str(exc)).group(1)) - 1
+    else:
+        diag = np.abs(np.diag(cho[0]))
+        pivot = int(np.argmin(diag))
+        if (diag[pivot] / diag.max()) ** 2 >= 1e-13:
+            return None
+    dof = int(free[min(pivot, free.size - 1)])
+    return dof // 3, ("ux", "uy", "rot")[dof % 3]
+
+
+def _max_moment(forces, i):
+    return max(abs(forces[i, 2]), abs(forces[i, 3]))
+
+
+def member_max_stress(model, assignment, forces):
+    out = np.empty(len(model.members))
+    for i, (_, _, g) in enumerate(model.members):
+        shape = assignment[g]
+        out[i] = abs(forces[i, 0]) / shape.area \
+            + _max_moment(forces, i) / shape.section_modulus_x
+    return out
+
+
+def joint_stiffness_ratios(model, assignment):
+    col = np.zeros(len(model.nodes))
+    beam = np.zeros(len(model.nodes))
+    for i, (a, b, g) in enumerate(model.members):
+        stiff = assignment[g].moment_of_inertia_x / member_length(model, i)
+        tgt = col if model.group_roles[g] == "column" else beam
+        tgt[a] += stiff
+        tgt[b] += stiff
+    fixed_rot = {n for n, dofs in model.supports if "rot" in dofs}
+    pinned = {n for n, dofs in model.supports if "rot" not in dofs}
+    ratios = np.empty(len(model.nodes))
+    for n in range(len(model.nodes)):
+        if n in fixed_rot:
+            ratios[n] = 1.0
+        elif n in pinned:
+            ratios[n] = 10.0
+        elif beam[n] > 0:
+            ratios[n] = col[n] / beam[n]
+        else:
+            ratios[n] = 10.0
+    return ratios
+
+
+def member_k_factors(model, assignment, cs):
+    if cs.k_mode == "fixed":
+        return [model.k_factor(g) for _, _, g in model.members]
+    ratios = joint_stiffness_ratios(model, assignment)
+    return [effective_length_factor_sway(ratios[a], ratios[b])
+            if model.group_roles[g] == "column" else 1.0
+            for a, b, g in model.members]
+
+
+def constraint_values(model, assignment, result, cs):
+    """The per-member loop that ``evaluate.constraint_values`` replaced."""
+    forces = result.member_forces
+    parts = []
+    if "stress" in cs.families:
+        sigma = member_max_stress(model, assignment, forces)
+        parts.append(np.abs(sigma / cs.stress_allowable) - 1.0)
+    if "lateral_drift" in cs.families:
+        if cs.roof_drift_limit_abs is not None:
+            g = result.max_lateral_displacement - cs.roof_drift_limit_abs
+        else:
+            g = result.max_lateral_displacement / model.height - cs.drift_index_R
+        parts.append(np.array([g]))
+    if "interstory_drift" in cs.families:
+        parts.append(result.story_drifts / result.story_heights - cs.interstory_index_RI)
+    if "lrfd_interaction" in cs.families:
+        k_factors = member_k_factors(model, assignment, cs)
+        E, fy = model.elastic_modulus, model.yield_stress
+        g_lrfd = np.empty(len(model.members))
+        for i, (_, _, grp) in enumerate(model.members):
+            shape = assignment[grp]
+            axial = forces[i, 0]
+            m_n = shape.plastic_modulus_x * fy
+            moment_ratio = _max_moment(forces, i) / (PHI_BENDING * m_n)
+            if model.group_roles[grp] == "beam":
+                g_lrfd[i] = moment_ratio - 1.0
+                continue
+            if axial < 0:
+                p_n, _ = lrfd_strengths(shape, member_length(model, i),
+                                        k_factors[i], E, fy)
+                axial_ratio = -axial / (PHI_COMPRESSION * p_n)
+            else:
+                axial_ratio = axial / (PHI_TENSION * shape.area * fy)
+            g_lrfd[i] = lrfd_interaction_value(axial_ratio, moment_ratio)
+        parts.append(g_lrfd)
+    return np.concatenate(parts)
+
+
+def frame_weight(model, assignment):
+    """The per-member length sum that ``fea.frame_weight`` replaced."""
+    lengths = np.zeros(model.n_groups)
+    for i, (_, _, g) in enumerate(model.members):
+        lengths[g] += member_length(model, i)
+    areas = np.array([s.area for s in assignment])
+    return float(model.density * np.dot(lengths, areas))

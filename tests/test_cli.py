@@ -81,6 +81,22 @@ class TestRun:
         record = json.loads((tmp_path / "sphere-5" / "pso-none" / "0.json").read_text())
         assert record["failed"] and "non-finite" in record["error"]
 
+    def test_fx_without_rules_fails_its_trials_not_the_plan(self, tmp_path, capsys):
+        # the sphere declares no functioning rules, so every fx trial fails
+        # when its reduced view is built; the other cells still run
+        code = run_cli("run", "--problem", "sphere", "--trials", "3", "--pop", "9",
+                       "--max-fe", "400", "--jobs", "1", "--out", str(tmp_path))
+        assert code == 0
+        plan_dir = tmp_path / "sphere-5"
+        for algorithm in ("pso", "de"):
+            for seed in range(3):
+                fx = json.loads((plan_dir / f"{algorithm}-fx" / f"{seed}.json").read_text())
+                assert fx["failed"] and "no functioning rules" in fx["error"]
+                none = json.loads((plan_dir / f"{algorithm}-none" / f"{seed}.json")
+                                  .read_text())
+                assert not none["failed"]
+        assert (plan_dir / "summary.csv").exists()
+
     def test_seed_in_help(self, capsys):
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -155,6 +171,29 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "config ok" not in captured.out
         assert f"story_levels[3]: no node at height {levels[3]}" in captured.err
+        assert run_cli("run", "--config", str(path), "--trials", "1",
+                       "--out", str(out_dir)) == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("story_levels", str, "story_levels[0]: expected a number, got '304.8'"),
+        ("load_fx", "10", "loads[0].fx: expected a number, got '10'"),
+        ("yield_stress", True, "material.yield_stress: expected a positive number"),
+    ])
+    def test_non_numeric_values_rejected_at_load(self, tmp_path, capsys, field, value,
+                                                 message):
+        doc = load_frame_config("frame-8story-1bay")
+        if field == "story_levels":
+            doc["story_levels"] = [value(v) for v in doc["story_levels"]]
+        elif field == "load_fx":
+            doc["loads"][0]["fx"] = value
+        else:
+            doc["material"][field] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--config", str(path)) == 1
+        assert message in capsys.readouterr().err
+        out_dir = tmp_path / "results"
         assert run_cli("run", "--config", str(path), "--trials", "1",
                        "--out", str(out_dir)) == 1
         assert not out_dir.exists()

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+import framefx
 from framefx import harness
+from framefx.fea import KERNEL_ID
 from framefx.harness import (
     CellSummary,
     ExperimentPlan,
@@ -61,6 +65,20 @@ class TestRunPlan:
     def test_plan_mismatch_rejected(self, tmp_path):
         run_plan(tiny_plan(trials=1), tmp_path)
         with pytest.raises(PlanMismatchError):
+            run_plan(tiny_plan(trials=2), tmp_path)
+
+    def test_plan_from_other_code_rejected(self, tmp_path):
+        # a plan written before the manifest carried its code identity (the
+        # dense-kernel releases) must not have banded-kernel records mixed in
+        plan = tiny_plan(trials=1)
+        run_plan(plan, tmp_path)
+        manifest_path = tmp_path / plan.name / "plan.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["framefx_version"] == framefx.__version__
+        assert manifest["fea_kernel"] == KERNEL_ID
+        del manifest["framefx_version"], manifest["fea_kernel"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(PlanMismatchError, match="before 0.2.0"):
             run_plan(tiny_plan(trials=2), tmp_path)
 
     def test_seeds_shared_across_cells_disjoint_within(self, tmp_path):
