@@ -11,8 +11,8 @@ __version__ = "0.2.0"
 
 from .evaluate import ConstraintSet, Evaluation, deb_compare, penalized_fitness
 from .fea import AnalysisResult, FrameModel, analyze, frame_weight, member_max_stress
-from .fx import AlphaBounds, FunctioningRule, alpha_max, expand_continuous, \
-    expand_discrete, reduced_dimension
+from .fx import FunctioningRule, alpha_max, expand_continuous, expand_discrete, \
+    reduced_dimension
 from .grouping import InteractionMatrix, interaction_matrix, render_matrix
 from .harness import ExperimentPlan, improvement_vs_none, mean_history, \
     practicality_report, run_plan

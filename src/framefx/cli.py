@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import BUNDLED_CONFIGS, ConfigError, load_frame_config
+from .config import BUNDLED_CONFIGS, ConfigError
 from .evaluate import Evaluation, constraint_values
 from .fea import StructuralInstabilityError, analyze, frame_weight
 from .fx import STRATEGIES, reduced_dimension
@@ -22,7 +22,7 @@ from .grouping import interaction_matrix, render_matrix
 from .harness import ExperimentPlan, PlanMismatchError, build_problem, cell_name, \
     default_cell_settings, load_records, mean_history, practicality_report, run_plan
 from .optim import ALGORITHMS
-from .sections import load_bundled_pool, load_section_table, BUNDLED_POOLS
+from .sections import SectionTableError, load_pool
 from .svgplot import line_chart
 
 PROBLEM_CHOICES = ("stepped-column", "sphere")
@@ -53,16 +53,14 @@ def _problem_spec(args) -> dict:
         return {"kind": "frame", "config": args.config}
     if args.problem == "sphere":
         return {"kind": "sphere", "dimension": args.dimension}
-    if args.problem == "stepped-column" or args.problem is None:
-        return {
-            "kind": "stepped-column",
-            "segment_count": args.segments,
-            "segment_length": args.segment_length,
-            "tip_load": args.tip_load,
-            "allowable_stress": args.allowable_stress,
-            "density": args.density,
-        }
-    raise ConfigError([f"unknown problem {args.problem!r}"])
+    return {  # --problem stepped-column, the default
+        "kind": "stepped-column",
+        "segment_count": args.segments,
+        "segment_length": args.segment_length,
+        "tip_load": args.tip_load,
+        "allowable_stress": args.allowable_stress,
+        "density": args.density,
+    }
 
 
 def _out_root(args) -> Path:
@@ -120,16 +118,19 @@ def cmd_run(args) -> int:
     if args.max_fe:
         max_fe = {s: args.max_fe for s in max_fe}
 
-    plan = ExperimentPlan(
-        name=args.plan_name or problem.name,
-        problem_spec=spec,
-        strategies=strategies,
-        algorithms=algorithms,
-        trials=args.trials,
-        seed_base=args.seed,
-        population=population,
-        max_fe=max_fe,
-    )
+    try:  # checked before anything is written
+        plan = ExperimentPlan(
+            name=args.plan_name or problem.name,
+            problem_spec=spec,
+            strategies=strategies,
+            algorithms=algorithms,
+            trials=args.trials,
+            seed_base=args.seed,
+            population=population,
+            max_fe=max_fe,
+        )
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
     out_root = _out_root(args)
     records, summaries, n_new = run_plan(plan, out_root, jobs=args.jobs,
                                          echo=lambda msg: print(msg))
@@ -233,10 +234,9 @@ def cmd_plot(args) -> int:
 
 def cmd_validate(args) -> int:
     spec = _problem_spec(args)
+    problem = build_problem(spec)  # a bad config raises ConfigError with fields
     if spec["kind"] == "frame":
-        doc = load_frame_config(spec["config"])  # raises ConfigError with fields
-        print(f"config ok: {doc['name']}")
-    problem = build_problem(spec)
+        print(f"config ok: {problem.name}")
     n = problem.dimension
     if problem.rules:
         print(f"{n} variables, {reduced_dimension(problem.rules, n)} under functioning")
@@ -258,10 +258,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sections(args) -> int:
-    if args.pool in BUNDLED_POOLS:
-        pool = load_bundled_pool(args.pool)
-    else:
-        pool = load_section_table(args.pool, label=args.pool)
+    pool = load_pool(args.pool)
     print(f"pool {pool.label or args.pool}: {len(pool)} shapes")
     print(f"area range: {pool.min_area:.2f} .. {pool.max_area:.2f} cm^2")
     print(f"lightest: {pool[0].name}  heaviest: {pool[len(pool) - 1].name}")
@@ -280,8 +277,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, PlanMismatchError, StructuralInstabilityError,
-            FileNotFoundError) as exc:
+    except (ConfigError, PlanMismatchError, SectionTableError,
+            StructuralInstabilityError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -18,13 +18,12 @@ from pathlib import Path
 from .evaluate import VALID_FAMILIES, ConstraintSet
 from .fea import DOF_NAMES, LEVEL_TOL, FrameModel
 from .fx import STRATEGIES, FunctioningRule
-from .sections import BUNDLED_POOLS, load_bundled_pool, load_section_table
+from .sections import BUNDLED_POOLS, load_pool
 
 __all__ = [
     "ConfigError",
     "BUNDLED_CONFIGS",
     "load_frame_config",
-    "validate_frame_config",
     "build_frame",
 ]
 
@@ -75,14 +74,14 @@ def _check(doc):
 
     nodes = need("nodes", list)
     n_nodes = len(nodes) if nodes else 0
-    node_heights = []
+    coords = {}  # node index -> (x, y) of each well-formed node
     if nodes is not None:
         for i, nd in enumerate(nodes):
             if not (isinstance(nd, list) and len(nd) == 2
                     and all(_is_number(c) for c in nd)):
                 errs.append(f"nodes[{i}]: expected [x, y]")
             else:
-                node_heights.append(nd[1])
+                coords[i] = tuple(nd)
 
     groups = need("groups", list)
     n_groups = len(groups) if groups else 0
@@ -115,6 +114,8 @@ def _check(doc):
             a, b, g = m
             if not (0 <= a < n_nodes and 0 <= b < n_nodes) or a == b:
                 errs.append(f"members[{i}]: node indices ({a}, {b}) invalid")
+            elif a in coords and coords[a] == coords.get(b):
+                errs.append(f"members[{i}]: zero length (nodes {a} and {b} coincide)")
             if not 0 <= g < n_groups:
                 errs.append(f"members[{i}]: group id {g} out of range")
 
@@ -152,7 +153,7 @@ def _check(doc):
         if levels[0] <= 0 or any(b <= a for a, b in zip(levels, levels[1:])):
             errs.append("story_levels: must be positive and strictly ascending")
         for j, level in enumerate(levels):
-            if not any(abs(y - level) < LEVEL_TOL for y in node_heights):
+            if not any(abs(y - level) < LEVEL_TOL for _, y in coords.values()):
                 errs.append(f"story_levels[{j}]: no node at height {level}")
 
     cons = need("constraints", dict)
@@ -224,11 +225,6 @@ def _check(doc):
     return errs
 
 
-def validate_frame_config(doc) -> list:
-    """Return a list of field-level problems (empty when valid)."""
-    return _check(doc)
-
-
 def load_frame_config(source) -> dict:
     """Load and validate a config from a path, bundled name, or dict."""
     if isinstance(source, dict):
@@ -252,12 +248,6 @@ def load_frame_config(source) -> dict:
     return doc
 
 
-def _load_pool(label):
-    if label in BUNDLED_POOLS:
-        return load_bundled_pool(label)
-    return load_section_table(label, label=label)
-
-
 def build_frame(doc):
     """Turn a validated config into (FrameModel, per-group pools,
     ConstraintSet, functioning rules, strategy defaults)."""
@@ -268,7 +258,7 @@ def build_frame(doc):
     for g in groups:
         label = g["pool"]
         if label not in pool_cache:
-            pool_cache[label] = _load_pool(label)
+            pool_cache[label] = load_pool(label)
         pools.append(pool_cache[label])
 
     model = FrameModel(

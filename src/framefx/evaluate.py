@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fea import AnalysisResult, FrameModel, member_max_stress
+from .sections import AREA, INERTIA, PLASTIC_MODULUS, RADIUS_X, RADIUS_Y, property_block
 
 __all__ = [
     "PHI_COMPRESSION",
@@ -26,10 +27,8 @@ __all__ = [
     "constraint_values",
     "constraint_labels",
     "column_critical_stress",
-    "lrfd_strengths",
     "lrfd_interaction_value",
     "effective_length_factor_sway",
-    "normalized_violation",
     "penalized_fitness",
     "deb_compare",
 ]
@@ -141,13 +140,6 @@ class GMaxTracker:
         np.maximum(self.gmax, np.maximum(g, 0.0).max(axis=0), out=self.gmax)
 
 
-def normalized_violation(violations, tracker: GMaxTracker) -> float:
-    """Normalize one point and immediately fold it into the tracker."""
-    value = tracker.normalize(violations)
-    tracker.merge([violations])
-    return value
-
-
 def penalized_fitness(objective, normalized_violation_G, f_max_feasible) -> float:
     """Deb-style scalar fitness: feasible points keep their objective,
     infeasible points rank after the worst feasible one by their violation.
@@ -193,27 +185,6 @@ def column_critical_stress(lambda_c, fy):
     return _scalar_or_array(stress)
 
 
-def _slenderness(k_factor, length, min_radius_of_gyration, elastic_modulus,
-                 yield_stress):
-    return (k_factor * length) / (min_radius_of_gyration * math.pi) \
-        * math.sqrt(yield_stress / elastic_modulus)
-
-
-def lrfd_strengths(shape, length, k_factor, elastic_modulus, yield_stress):
-    """Nominal compressive strength P_n (kN) and flexural strength M_n (kN*cm).
-
-    Compression uses the column curve on the weak-axis slenderness; flexure
-    assumes a compact, laterally braced section (M_n = Z_x * Fy).
-    """
-    if min(length, k_factor, elastic_modulus, yield_stress) <= 0:
-        raise ValueError("length, k_factor, E and Fy must all be positive")
-    lambda_c = _slenderness(k_factor, length, shape.min_radius_of_gyration,
-                            elastic_modulus, yield_stress)
-    p_n = shape.area * column_critical_stress(lambda_c, yield_stress)
-    m_n = shape.plastic_modulus_x * yield_stress
-    return p_n, m_n
-
-
 def lrfd_interaction_value(axial_ratio, moment_ratio):
     """Beam-column interaction value minus 1 (g <= 0 satisfied).
 
@@ -234,10 +205,10 @@ def effective_length_factor_sway(g_a, g_b):
         np.sqrt((1.6 * g_a * g_b + 4.0 * (g_a + g_b) + 7.5) / (g_a + g_b + 7.5)))
 
 
-def _joint_stiffness_ratios(kernel, assignment):
-    """Per-node G = sum(I_col/L_col) / sum(I_beam/L_beam) for sway K factors."""
-    stiff = np.repeat(kernel.member_values(assignment, "moment_of_inertia_x")
-                      / kernel.length, 2)
+def _joint_stiffness_ratios(kernel, members):
+    """Per-node G = sum(I_col/L_col) / sum(I_beam/L_beam) for sway K factors;
+    ``members`` holds each member's section properties, (m, k)."""
+    stiff = np.repeat(members[:, INERTIA] / kernel.length, 2)
     column_end = np.repeat(kernel.is_column, 2)
     ends = kernel.ends.ravel()  # a0, b0, a1, b1, ...: the per-member sum order
     n = kernel.supported.size
@@ -249,10 +220,10 @@ def _joint_stiffness_ratios(kernel, assignment):
     return np.where(kernel.rot_fixed, 1.0, np.where(kernel.supported, 10.0, joint))
 
 
-def _member_k_factors(kernel, assignment, cs: ConstraintSet):
+def _member_k_factors(kernel, members, cs: ConstraintSet):
     if cs.k_mode == "fixed":
         return kernel.k_factor
-    ratios = _joint_stiffness_ratios(kernel, assignment)
+    ratios = _joint_stiffness_ratios(kernel, members)
     a, b = kernel.ends.T
     return np.where(kernel.is_column,
                     effective_length_factor_sway(ratios[a], ratios[b]), 1.0)
@@ -264,10 +235,12 @@ def constraint_values(model: FrameModel, assignment, result: AnalysisResult,
 
     Layout (only active families present): per-member stress, roof drift,
     per-story inter-story drift, per-member strength interaction.
+    ``assignment`` takes the forms ``fea.analyze`` takes.
     """
+    block = property_block(assignment)
     parts = []
     if "stress" in cs.families:
-        sigma = member_max_stress(model, assignment, result)
+        sigma = member_max_stress(model, block, result)
         parts.append(np.abs(sigma / cs.stress_allowable) - 1.0)
     if "lateral_drift" in cs.families:
         if cs.roof_drift_limit_abs is not None:
@@ -279,16 +252,18 @@ def constraint_values(model: FrameModel, assignment, result: AnalysisResult,
         parts.append(result.story_drifts / result.story_heights - cs.interstory_index_RI)
     if "lrfd_interaction" in cs.families:
         kernel = model._kernel
+        members = block[kernel.group]
         E, fy = model.elastic_modulus, model.yield_stress
-        area = kernel.member_values(assignment, "area")
+        area = members[:, AREA]
         axial = result.member_forces[:, 0]
         max_moment = np.maximum(np.abs(result.member_forces[:, 2]),
                                 np.abs(result.member_forces[:, 3]))
-        m_n = kernel.member_values(assignment, "plastic_modulus_x") * fy
+        m_n = members[:, PLASTIC_MODULUS] * fy
         moment_ratio = max_moment / (PHI_BENDING * m_n)
-        lambda_c = _slenderness(
-            _member_k_factors(kernel, assignment, cs), kernel.length,
-            kernel.member_values(assignment, "min_radius_of_gyration"), E, fy)
+        # weak-axis slenderness
+        min_radius = np.minimum(members[:, RADIUS_X], members[:, RADIUS_Y])
+        lambda_c = (_member_k_factors(kernel, members, cs) * kernel.length) \
+            / (min_radius * math.pi) * math.sqrt(fy / E)
         p_n = area * column_critical_stress(lambda_c, fy)
         axial_ratio = np.where(axial < 0,  # compression
                                -axial / (PHI_COMPRESSION * p_n),

@@ -20,6 +20,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from .sections import AREA, INERTIA, SECTION_MODULUS, property_block
+
 __all__ = [
     "DOF_NAMES",
     "KERNEL_ID",
@@ -78,6 +80,8 @@ class FrameModel:
         for a, b, g in self.members:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError(f"member ({a}, {b}) references invalid nodes")
+            if tuple(self.nodes[a]) == tuple(self.nodes[b]):
+                raise ValueError(f"member ({a}, {b}) has zero length")
             if not 0 <= g < n_g:
                 raise ValueError(f"member group id {g} out of range (n_g={n_g})")
         for node, dofs in self.supports:
@@ -110,11 +114,6 @@ class FrameModel:
         if self.story_levels:
             return float(self.story_levels[-1])
         return max(y for _, y in self.nodes)
-
-    def k_factor(self, group_id) -> float:
-        if self.group_k_factors:
-            return float(self.group_k_factors[group_id])
-        return 1.0
 
     def constrained_dofs(self):
         """Sorted global DOF indices fixed by supports."""
@@ -174,8 +173,8 @@ class _Kernel:
                                         minlength=model.n_groups)
         self.is_column = np.array([r == "column" for r in model.group_roles],
                                   dtype=bool)[self.group]
-        self.k_factor = np.array([model.k_factor(g) for g in range(model.n_groups)])[
-            self.group]
+        self.k_factor = np.array(model.group_k_factors or (1.0,) * model.n_groups,
+                                 dtype=float)[self.group]
 
         E, L = model.elastic_modulus, self.length
         t = _rotation(dx / L, dy / L)
@@ -221,10 +220,6 @@ class _Kernel:
         self.level_weights = on_level / np.maximum(counts, 1)[:, None]
         self.story_heights = np.diff(np.concatenate(([0.0], levels)))
 
-    def member_values(self, assignment, attr) -> np.ndarray:
-        """Section property ``attr`` of each member's group, (m,)."""
-        return np.array([getattr(s, attr) for s in assignment])[self.group]
-
     def element_stiffness(self, area, inertia) -> np.ndarray:
         """Global stiffness of each member, (m, 6, 6)."""
         return area[:, None, None] * self.stiffness_per_area \
@@ -246,19 +241,22 @@ class AnalysisResult:
     story_heights: np.ndarray       # cm, per story
 
 
-def _check_assignment(model, assignment):
-    if len(assignment) != model.n_groups:
+def _design(model: FrameModel, assignment) -> np.ndarray:
+    """``assignment`` as its (G, k) section-property block, checked to hold
+    one row per group."""
+    block = property_block(assignment)
+    if len(block) != model.n_groups:
         raise ValueError(
-            f"assignment length {len(assignment)} != group count {model.n_groups}"
+            f"assignment length {len(block)} != group count {model.n_groups}"
         )
+    return block
 
 
 def constrained_stiffness(model: FrameModel, assignment) -> np.ndarray:
     """Dense stiffness matrix after support elimination (free DOFs only)."""
-    _check_assignment(model, assignment)
     kernel = model._kernel
-    ke = kernel.element_stiffness(kernel.member_values(assignment, "area"),
-                                  kernel.member_values(assignment, "moment_of_inertia_x"))
+    members = _design(model, assignment)[kernel.group]
+    ke = kernel.element_stiffness(members[:, AREA], members[:, INERTIA])
     n = kernel.n_dof
     flat = kernel.dofs[:, :, None] * n + kernel.dofs[:, None, :]
     K = np.bincount(flat.ravel(), ke.ravel(), minlength=n * n).reshape(n, n)
@@ -268,16 +266,15 @@ def constrained_stiffness(model: FrameModel, assignment) -> np.ndarray:
 def analyze(model: FrameModel, assignment) -> AnalysisResult:
     """Solve K u = F for the frame under its nodal loads.
 
-    ``assignment`` is one SectionShape per member group.  Raises
-    StructuralInstabilityError when the constrained stiffness matrix is
-    singular, naming the offending node/DOF.
+    ``assignment`` is one SectionShape or property row per member group,
+    or their (G, k) block.  Raises StructuralInstabilityError when the
+    constrained stiffness matrix is singular, naming the offending node/DOF.
     """
-    _check_assignment(model, assignment)
     kernel = model._kernel
+    members = _design(model, assignment)[kernel.group]
     if kernel.free.size == 0:
         raise ValueError("model has no free degrees of freedom")
-    area = kernel.member_values(assignment, "area")
-    inertia = kernel.member_values(assignment, "moment_of_inertia_x")
+    area, inertia = members[:, AREA], members[:, INERTIA]
     ke = kernel.element_stiffness(area, inertia)
     band = np.bincount(kernel.band_dst, ke.ravel()[kernel.band_src],
                        minlength=kernel.band_shape[0] * kernel.band_shape[1])
@@ -335,14 +332,14 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
 
 def member_max_stress(model: FrameModel, assignment, result: AnalysisResult) -> np.ndarray:
     """Combined elastic stress per member: |N|/A + max|M|/Sx, kN/cm^2."""
-    kernel = model._kernel
+    members = _design(model, assignment)[model._kernel.group]
     f = result.member_forces
     max_moment = np.maximum(np.abs(f[:, 2]), np.abs(f[:, 3]))
-    return np.abs(f[:, 0]) / kernel.member_values(assignment, "area") \
-        + max_moment / kernel.member_values(assignment, "section_modulus_x")
+    return np.abs(f[:, 0]) / members[:, AREA] + max_moment / members[:, SECTION_MODULUS]
 
 
 def frame_weight(model: FrameModel, assignment) -> float:
     """Total member weight: sum over groups of density * total length * area."""
-    areas = np.array([s.area for s in assignment])
+    # contiguous: BLAS may sum a strided vector in another order
+    areas = np.ascontiguousarray(_design(model, assignment)[:, AREA])
     return float(model.density * np.dot(model._kernel.group_length, areas))

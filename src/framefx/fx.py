@@ -20,7 +20,6 @@ from .sections import SectionPool, pool_index_of_nearest_area
 __all__ = [
     "STRATEGIES",
     "FunctioningRule",
-    "AlphaBounds",
     "alpha_max",
     "expand_continuous",
     "expand_discrete",
@@ -45,16 +44,11 @@ class FunctioningRule:
     replaced_variable_ids: tuple
     heights: tuple  # cm
 
-    kind: str = "exponential_column"
-    PARAMETER_COUNT = 2
-
     def __post_init__(self):
         ids = tuple(int(i) for i in self.replaced_variable_ids)
         hts = tuple(float(h) for h in self.heights)
         object.__setattr__(self, "replaced_variable_ids", ids)
         object.__setattr__(self, "heights", hts)
-        if self.kind != "exponential_column":
-            raise ValueError(f"unknown functioning kind {self.kind!r}")
         if len(ids) != len(hts):
             raise ValueError("replaced_variable_ids and heights differ in length")
         if len(ids) < 2:
@@ -66,24 +60,6 @@ class FunctioningRule:
         if any(b <= a for a, b in zip(hts, hts[1:])):
             raise ValueError("heights must be strictly ascending")
 
-    @property
-    def replaced_count(self) -> int:
-        return len(self.replaced_variable_ids)
-
-    @property
-    def top_height(self) -> float:
-        return self.heights[-1]
-
-
-@dataclass(frozen=True)
-class AlphaBounds:
-    upper: float
-    lower: float = 1.0
-
-    def __post_init__(self):
-        if self.upper < self.lower:
-            raise ValueError(f"alpha upper bound {self.upper} < lower bound {self.lower}")
-
 
 def alpha_max(value_min: float, value_max: float, h_u: float) -> float:
     """Largest admissible decay rate: the profile that starts at the largest
@@ -93,10 +69,6 @@ def alpha_max(value_min: float, value_max: float, h_u: float) -> float:
     if h_u <= 0:
         raise ValueError(f"top height must be positive, got {h_u}")
     return (value_max / value_min) ** (1.0 / h_u)
-
-
-def alpha_bounds_for(rule: FunctioningRule, value_min: float, value_max: float) -> AlphaBounds:
-    return AlphaBounds(upper=alpha_max(value_min, value_max, rule.top_height))
 
 
 def expand_continuous(base_value: float, alpha: float, heights) -> np.ndarray:
@@ -149,4 +121,4 @@ def reduced_dimension(rules, n: int) -> int:
     """Dimension after functioning: n minus, per rule, the replaced count
     less the two profile parameters."""
     validate_rules(rules, n)
-    return n - sum(r.replaced_count - FunctioningRule.PARAMETER_COUNT for r in rules)
+    return n - sum(len(r.replaced_variable_ids) - 2 for r in rules)

@@ -93,11 +93,9 @@ class ExperimentPlan:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValueError(f"unknown strategy {s!r}")
-            if self.population.get(s, 0) <= 0 or self.max_fe.get(s, 0) <= 0:
-                raise ValueError(f"strategy {s!r} needs positive population and budget")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
+        for a, s in self.cells():  # each cell must make a valid optimizer run
+            OptimizerConfig(algorithm=a, population_size=self.population.get(s, 0),
+                            max_fe=self.max_fe.get(s, 0))
 
     def cells(self):
         return [(a, s) for a in self.algorithms for s in self.strategies]
@@ -154,14 +152,6 @@ def cell_name(algorithm, strategy) -> str:
     return f"{algorithm}-{strategy}"
 
 
-def _record_to_doc(record: RunRecord) -> dict:
-    return dataclasses.asdict(record)
-
-
-def _record_from_doc(doc) -> RunRecord:
-    return RunRecord(**doc)
-
-
 def _atomic_write_json(path: Path, doc):
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -203,7 +193,7 @@ def _trial_worker(args):
     record = run_trial(plan.problem_spec, algorithm, strategy, seed,
                        plan.population[strategy], plan.max_fe[strategy])
     path = Path(out) / cell_name(algorithm, strategy) / f"{seed}.json"
-    _atomic_write_json(path, _record_to_doc(record))
+    _atomic_write_json(path, dataclasses.asdict(record))
     return str(path)
 
 
@@ -264,7 +254,7 @@ def load_records(plan_dir, plan: ExperimentPlan):
         for seed in plan.seeds():
             path = Path(plan_dir) / cell / f"{seed}.json"
             doc = json.loads(path.read_text(encoding="utf-8"))
-            cell_records.append(_record_from_doc(doc))
+            cell_records.append(RunRecord(**doc))
         records[cell] = cell_records
     return records
 

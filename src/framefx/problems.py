@@ -17,9 +17,9 @@ import numpy as np
 from . import fea
 from .config import build_frame, load_frame_config
 from .evaluate import Evaluation, constraint_labels, constraint_values
-from .fx import FunctioningRule, alpha_bounds_for, expand_continuous, expand_discrete, \
+from .fx import FunctioningRule, alpha_max, expand_continuous, expand_discrete, \
     reduced_dimension, validate_rules
-from .sections import SectionPool, interpolated_properties
+from .sections import PROPERTIES, SectionPool, interpolated_properties
 
 __all__ = [
     "Domain",
@@ -96,7 +96,6 @@ class FrameContext:
     model: fea.FrameModel
     pools: tuple
     constraint_set: object
-    config: dict
     strategy_defaults: dict
 
 
@@ -134,13 +133,6 @@ class SteppedColumnSpec:
         return self.tip_load * self.segment_length * np.arange(n, 0, -1)
 
 
-def stepped_column_rule(spec: SteppedColumnSpec) -> FunctioningRule:
-    return FunctioningRule(
-        replaced_variable_ids=tuple(range(spec.segment_count)),
-        heights=tuple(spec.heights),
-    )
-
-
 def stepped_column_problem(spec: SteppedColumnSpec | None = None) -> Problem:
     spec = spec or SteppedColumnSpec()
     n = spec.segment_count
@@ -160,7 +152,8 @@ def stepped_column_problem(spec: SteppedColumnSpec | None = None) -> Problem:
         Domain("continuous", spec.radius_min, spec.radius_max, label=f"r{i + 1}")
         for i in range(n)
     )
-    rules = (stepped_column_rule(spec),) if n >= 2 else ()
+    # one profile over the whole column
+    rules = (FunctioningRule(tuple(range(n)), tuple(spec.heights)),) if n >= 2 else ()
     return Problem(
         name=f"stepped-column-{n}",
         domains=domains,
@@ -201,7 +194,11 @@ def _stepped_column_probe(spec: SteppedColumnSpec) -> Probe:
 
 
 def frame_problem(config_source) -> Problem:
-    """Discrete frame design problem from a config file, bundled name or dict."""
+    """Discrete frame design problem from a config file, bundled name or dict.
+
+    A design is scored as one (G, k) section-property block, gathered from
+    the frame's stacked pool tables or interpolated in them by the probe.
+    """
     doc = load_frame_config(config_source)
     model, pools, cs, group_rules, defaults = build_frame(doc)
 
@@ -210,43 +207,51 @@ def frame_problem(config_source) -> Problem:
                label=doc["groups"][g].get("label", f"g{g}"))
         for g, pool in enumerate(pools)
     )
-
-    probe_n = len(pools)
     n_constraints = len(constraint_labels(model, cs))
 
-    def assignment_for(indices):
-        return tuple(pools[g][int(i)] for g, i in enumerate(indices))
+    distinct = list(dict.fromkeys(pools))  # each pool once, in first-use order
+    pool_groups = [np.flatnonzero([p is pool for p in pools]) for pool in distinct]
+    starts = np.cumsum([0] + [len(pool) for pool in distinct])
+    table = np.concatenate([pool.properties for pool in distinct])
+    offset = np.array([starts[distinct.index(pool)] for pool in pools])
+    upper = np.array([len(pool) - 1 for pool in pools])
+
+    def indices(x):
+        # np.rint rounds half-way values to even, as round() does
+        return np.clip(np.rint(x), 0, upper).astype(np.intp)
+
+    def score(block):
+        result = fea.analyze(model, block)
+        g = constraint_values(model, block, result, cs)
+        return fea.frame_weight(model, block), g
 
     def evaluate(x) -> Evaluation:
-        indices = _round_index_vector(x, domains)
-        assignment = assignment_for(indices)
-        result = fea.analyze(model, assignment)
-        g = constraint_values(model, assignment, result, cs)
-        return Evaluation(objective=fea.frame_weight(model, assignment), violations=g)
+        weight, g = score(table[offset + indices(x)])
+        return Evaluation(objective=weight, violations=g)
 
     def decode(x):
-        indices = _round_index_vector(x, domains)
+        idx = indices(x)
+        shapes = [pools[g][i] for g, i in enumerate(idx)]
         return {
-            "section_indices": [int(i) for i in indices],
-            "sections": [pools[g][int(i)].name for g, i in enumerate(indices)],
-            "areas_cm2": [pools[g][int(i)].area for g, i in enumerate(indices)],
+            "section_indices": [int(i) for i in idx],
+            "sections": [s.name for s in shapes],
+            "areas_cm2": [s.area for s in shapes],
         }
 
-    largest = tuple(pool[len(pool) - 1] for pool in pools)
-    penalty_scale = 2.0 * fea.frame_weight(model, largest)
+    penalty_scale = 2.0 * fea.frame_weight(model, table[offset + upper])
     probe_lo = np.array([pool.min_area for pool in pools])
     probe_hi = np.array([pool.max_area for pool in pools])
 
     def probe_f(areas):
-        assignment = tuple(interpolated_properties(pools[g], a)
-                           for g, a in enumerate(np.asarray(areas, dtype=float)))
-        result = fea.analyze(model, assignment)
-        g = constraint_values(model, assignment, result, cs)
-        w = fea.frame_weight(model, assignment)
-        return w + penalty_scale * float(np.maximum(g, 0.0).sum())
+        areas = np.asarray(areas, dtype=float)
+        block = np.empty((len(pools), len(PROPERTIES)))
+        for pool, groups in zip(distinct, pool_groups):
+            block[groups] = interpolated_properties(pool, areas[groups])
+        weight, g = score(block)
+        return weight + penalty_scale * float(np.maximum(g, 0.0).sum())
 
     context = FrameContext(model=model, pools=tuple(pools), constraint_set=cs,
-                           config=doc, strategy_defaults=defaults)
+                           strategy_defaults=defaults)
     return Problem(
         name=doc["name"],
         domains=domains,
@@ -257,12 +262,6 @@ def frame_problem(config_source) -> Problem:
         probe=Probe(f=probe_f, lower=probe_lo, upper=probe_hi),
         frame=context,
     )
-
-
-def _round_index_vector(x, domains):
-    x = np.asarray(x, dtype=float)
-    return [min(max(round(float(v)), int(d.lower)), int(d.upper))
-            for v, d in zip(x, domains)]
 
 
 def attach_fx(problem: Problem, rules=None) -> Problem:
@@ -299,15 +298,15 @@ def attach_fx(problem: Problem, rules=None) -> Problem:
                     f"variable {i} differs"
                 )
         if base_dom.kind == "index":
-            bounds = alpha_bounds_for(rule, base_dom.pool.min_area,
-                                      base_dom.pool.max_area)
+            lo, hi = base_dom.pool.min_area, base_dom.pool.max_area
         else:
-            bounds = alpha_bounds_for(rule, base_dom.lower, base_dom.upper)
+            lo, hi = base_dom.lower, base_dom.upper
         k = len(reduced_domains)
         reduced_domains.append(Domain(base_dom.kind, base_dom.lower, base_dom.upper,
                                       pool=base_dom.pool,
                                       label=f"{base_dom.label or 'base'}"))
-        reduced_domains.append(Domain("continuous", bounds.lower, bounds.upper,
+        reduced_domains.append(Domain("continuous", 1.0,
+                                      alpha_max(lo, hi, rule.heights[-1]),
                                       label="alpha"))
         rule_info.append((rule, base_dom, k))
     for i in untouched:

@@ -11,27 +11,34 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
+from operator import attrgetter
 
 import numpy as np
 
 __all__ = [
+    "PROPERTIES",
     "SectionShape",
     "SectionPool",
     "SectionTableError",
     "load_section_table",
     "load_bundled_pool",
+    "load_pool",
     "pool_index_of_nearest_area",
     "circular_properties",
     "interpolated_properties",
+    "property_block",
 ]
 
 CSV_HEADER = ["name", "area_cm2", "ix_cm4", "sx_cm3", "zx_cm3", "rx_cm", "ry_cm", "depth_cm"]
 
-# the properties interpolated_properties interpolates in area
-_INTERPOLATED = ("moment_of_inertia_x", "section_modulus_x", "plastic_modulus_x",
-                 "radius_of_gyration_x", "radius_of_gyration_y", "depth")
+# the column order of SectionPool.properties and of a design's property
+# block: the SectionShape fields after the name, as in the CSV
+PROPERTIES = ("area", "moment_of_inertia_x", "section_modulus_x", "plastic_modulus_x",
+              "radius_of_gyration_x", "radius_of_gyration_y", "depth")
+AREA, INERTIA, SECTION_MODULUS, PLASTIC_MODULUS, RADIUS_X, RADIUS_Y, DEPTH = \
+    range(len(PROPERTIES))
+_properties_of = attrgetter(*PROPERTIES)
 
 BUNDLED_POOLS = {
     "w-all": "w_shapes.csv",
@@ -63,9 +70,10 @@ class SectionShape:
     depth: float              # cm
 
     def __post_init__(self):
-        for field in ("area", "moment_of_inertia_x", "depth"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{self.name}: {field} must be positive")
+        for field, value in zip(PROPERTIES, self.row):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{self.name}: {field} must be finite and positive, "
+                                 f"got {value!r}")
         if self.section_modulus_x > self.plastic_modulus_x * (1 + 1e-12):
             raise ValueError(
                 f"{self.name}: elastic modulus {self.section_modulus_x} exceeds "
@@ -73,15 +81,17 @@ class SectionShape:
             )
 
     @property
-    def min_radius_of_gyration(self) -> float:
-        return min(self.radius_of_gyration_x, self.radius_of_gyration_y)
+    def row(self) -> tuple:
+        """The properties in PROPERTIES order."""
+        return _properties_of(self)
 
 
 class SectionPool:
     """Immutable ordered catalog: shapes sorted ascending by area.
 
     Ties in area are broken by ascending depth, then name, so the ordering
-    is total and reproducible.  Safe for concurrent read.
+    is total and reproducible.  ``properties`` is the read-only (n, k) table
+    in PROPERTIES column order, column-major.  Safe for concurrent read.
     """
 
     def __init__(self, shapes, label=""):
@@ -89,7 +99,8 @@ class SectionPool:
             raise SectionTableError("empty section table")
         self.shapes = tuple(sorted(shapes, key=lambda s: (s.area, s.depth, s.name)))
         self.label = label
-        self._areas = np.array([s.area for s in self.shapes])
+        self.properties = np.array([s.row for s in self.shapes], order="F")
+        self.properties.flags.writeable = False
 
     def __len__(self):
         return len(self.shapes)
@@ -103,29 +114,21 @@ class SectionPool:
     @property
     def areas(self) -> np.ndarray:
         """Ascending area vector (read-only view)."""
-        v = self._areas.view()
-        v.flags.writeable = False
-        return v
-
-    @cached_property
-    def _property_table(self) -> dict:
-        """One array per interpolated property, in pool order."""
-        return {attr: np.array([getattr(s, attr) for s in self.shapes])
-                for attr in _INTERPOLATED}
+        return self.properties[:, AREA]
 
     @property
     def min_area(self) -> float:
-        return float(self._areas[0])
+        return float(self.properties[0, AREA])
 
     @property
     def max_area(self) -> float:
-        return float(self._areas[-1])
+        return float(self.properties[-1, AREA])
 
 
 def load_section_table(source, label="") -> SectionPool:
     """Parse a section CSV (header row required) into a SectionPool.
 
-    ``source`` may be a text or byte stream, or a path.  Rows are validated
+    ``source`` may be a text stream, bytes, or a path.  Rows are validated
     and re-ordered ascending by area; all other content is preserved.
     """
     if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
@@ -133,8 +136,6 @@ def load_section_table(source, label="") -> SectionPool:
             return load_section_table(fh, label=label)
     if isinstance(source, (bytes, bytearray)):
         source = io.StringIO(source.decode("utf-8"))
-    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8")
 
     reader = csv.reader(source)
     try:
@@ -182,6 +183,13 @@ def load_bundled_pool(name: str) -> SectionPool:
         return load_section_table(fh, label=name)
 
 
+def load_pool(label: str) -> SectionPool:
+    """Load a bundled pool by name, or any other label as a CSV path."""
+    if label in BUNDLED_POOLS:
+        return load_bundled_pool(label)
+    return load_section_table(label, label=label)
+
+
 def pool_index_of_nearest_area(pool: SectionPool, target_area: float, cap_area=None) -> int:
     """Index of the shape with area closest to ``target_area``.
 
@@ -222,18 +230,33 @@ def circular_properties(radius: float, name=None) -> SectionShape:
     )
 
 
-def interpolated_properties(pool: SectionPool, area: float) -> SectionShape:
-    """Synthetic shape with properties interpolated from the catalog at ``area``.
+def interpolated_properties(pool: SectionPool, area) -> np.ndarray:
+    """Property rows interpolated from the catalog at ``area``: one row for a
+    number, one row per entry for an array, in PROPERTIES column order.
 
     Piecewise-linear in area between neighbouring catalog rows, clamped to the
-    catalog ends.  Used for the continuous relaxation that interaction
-    analysis probes; never for strength checks of actual designs.
+    catalog ends; the area column is the clamped area itself.  Used for the
+    continuous relaxation that interaction analysis probes; never for
+    strength checks of actual designs.
     """
     areas = pool.areas
-    a = float(min(max(area, areas[0]), areas[-1]))
-    return SectionShape(
-        name=f"{pool.label or 'pool'}-interp-{a:.3f}",
-        area=a,
-        **{attr: float(np.interp(a, areas, values))
-           for attr, values in pool._property_table.items()},
-    )
+    a = np.clip(area, areas[0], areas[-1])
+    # area is the first column
+    return np.stack([a] + [np.interp(a, areas, column)
+                           for column in pool.properties.T[1:]], axis=-1)
+
+
+def property_block(assignment) -> np.ndarray:
+    """One frame design as a (G, k) array, a row per group in PROPERTIES
+    column order.
+
+    ``assignment`` holds one SectionShape or one property row per group; a
+    (G, k) array is returned as it is.
+    """
+    if not isinstance(assignment, np.ndarray):
+        assignment = np.array([s.row if isinstance(s, SectionShape) else s
+                               for s in assignment], dtype=float)
+    if assignment.shape[1:] != (len(PROPERTIES),):
+        raise ValueError(f"expected one row of {len(PROPERTIES)} section properties "
+                         f"per group, got an array of shape {assignment.shape}")
+    return assignment

@@ -1,10 +1,12 @@
-"""Reference implementations kept as oracles for the array kernel in ``fea``
-and the vectorized checks in ``evaluate``.
+"""Reference implementations kept as oracles for the array kernel in ``fea``,
+the vectorized checks in ``evaluate`` and the section-property blocks.
 
 These are the original per-member loops: element stiffness built and
 rotated one member at a time, scattered into a dense global matrix, solved
 with a dense Cholesky factorization, and constraints evaluated member by
-member.  They are slow and plain on purpose; tests compare the fast paths
+member; and the original per-group section path: one named SectionShape
+per group, indices rounded with round(), member properties read with
+getattr.  They are slow and plain on purpose; tests compare the fast paths
 against them.
 """
 
@@ -16,6 +18,7 @@ import scipy.linalg
 
 from framefx.evaluate import COLUMN_ELASTIC_COEF, PHI_BENDING, PHI_COMPRESSION, \
     PHI_TENSION
+from framefx.sections import SectionShape
 
 
 def local_stiffness(E, A, I, L):
@@ -103,7 +106,8 @@ def column_critical_stress(lambda_c, fy):
 
 
 def lrfd_strengths(shape, length, k_factor, elastic_modulus, yield_stress):
-    lambda_c = (k_factor * length) / (shape.min_radius_of_gyration * math.pi) \
+    min_radius = min(shape.radius_of_gyration_x, shape.radius_of_gyration_y)
+    lambda_c = (k_factor * length) / (min_radius * math.pi) \
         * math.sqrt(yield_stress / elastic_modulus)
     p_n = shape.area * column_critical_stress(lambda_c, yield_stress)
     return p_n, shape.plastic_modulus_x * yield_stress
@@ -175,7 +179,8 @@ def joint_stiffness_ratios(model, assignment):
 
 def member_k_factors(model, assignment, cs):
     if cs.k_mode == "fixed":
-        return [model.k_factor(g) for _, _, g in model.members]
+        return [model.group_k_factors[g] if model.group_k_factors else 1.0
+                for _, _, g in model.members]
     ratios = joint_stiffness_ratios(model, assignment)
     return [effective_length_factor_sway(ratios[a], ratios[b])
             if model.group_roles[g] == "column" else 1.0
@@ -227,3 +232,29 @@ def frame_weight(model, assignment):
         lengths[g] += member_length(model, i)
     areas = np.array([s.area for s in assignment])
     return float(model.density * np.dot(lengths, areas))
+
+
+def interpolated_shape(pool, area):
+    """A named SectionShape with each property interpolated in area at the
+    clamped ``area`` (the per-group form that property blocks replaced)."""
+    areas = np.array([s.area for s in pool])
+    a = float(min(max(area, areas[0]), areas[-1]))
+    return SectionShape(
+        name=f"{pool.label or 'pool'}-interp-{a:.3f}",
+        area=a,
+        **{attr: float(np.interp(a, areas, np.array([getattr(s, attr) for s in pool])))
+           for attr in ("moment_of_inertia_x", "section_modulus_x", "plastic_modulus_x",
+                        "radius_of_gyration_x", "radius_of_gyration_y", "depth")},
+    )
+
+
+def round_indices(x, domains):
+    """Nearest catalog index of each variable by round(), clamped to its domain."""
+    return [min(max(round(float(v)), int(d.lower)), int(d.upper))
+            for v, d in zip(x, domains)]
+
+
+def member_values(model, assignment, attr):
+    """Section property ``attr`` of each member's group, read with getattr."""
+    return np.array([getattr(s, attr) for s in assignment])[
+        [g for _, _, g in model.members]]

@@ -42,6 +42,27 @@ class TestRun:
         assert not out_dir.exists()
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--pop", "3", "population_size must be >= 4"),
+        ("--algo", "bogus", "unknown algorithm 'bogus'"),
+        ("--strategy", "bogus", "unknown strategy 'bogus'"),
+        ("--trials", "0", "trials must be >= 1"),
+    ])
+    def test_bad_arguments_exit_1_without_output(self, tmp_path, capsys, option,
+                                                 value, message):
+        def run(changed):
+            cell = {"--algo": "de", "--strategy": "none", "--trials": "1", "--pop": "6",
+                    **changed}
+            return run_cli("run", "--problem", "stepped-column", "--segments", "5",
+                           "--max-fe", "30", "--out", str(tmp_path),
+                           *(part for item in cell.items() for part in item))
+
+        assert run({option: value}) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # nothing was written, so the corrected run starts a fresh plan
+        assert run({}) == 0
+
     def test_env_var_default_output_root(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FRAMEFX_OUT", str(tmp_path / "from-env"))
         code = run_cli("run", "--problem", "stepped-column", "--segments", "5",
@@ -198,6 +219,21 @@ class TestValidate:
                        "--out", str(out_dir)) == 1
         assert not out_dir.exists()
 
+    def test_zero_length_member_rejected_at_load(self, tmp_path, capsys):
+        doc = load_frame_config("frame-8story-1bay")
+        doc["nodes"].append(list(doc["nodes"][2]))
+        doc["members"].append([2, len(doc["nodes"]) - 1, 0])
+        path = tmp_path / "zero-length.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert f"members[{len(doc['members']) - 1}]: zero length" in captured.err
+        out_dir = tmp_path / "results"
+        assert run_cli("run", "--config", str(path), "--trials", "1",
+                       "--out", str(out_dir)) == 1
+        assert not out_dir.exists()
+
     def test_unstable_supports_diagnosed(self, tmp_path, capsys):
         doc = {
             "name": "wobbly",
@@ -262,6 +298,19 @@ class TestSections:
 
     def test_missing_pool_file(self, capsys):
         assert run_cli("sections", "--pool", "nope.csv") == 1
+
+    @pytest.mark.parametrize("row, message", [
+        ("A,nan,100,20,24,3,2,9", "row 3: A: area must be finite and positive"),
+        ("A,10,inf,20,24,3,2,9", "row 3: A: moment_of_inertia_x must be finite"),
+        ("A,10,100,-20,24,3,2,9", "row 3: A: section_modulus_x must be finite"),
+        ("A,10,100,20,24,3,-2,9", "row 3: A: radius_of_gyration_y must be finite"),
+    ])
+    def test_invalid_properties_exit_1(self, tmp_path, capsys, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("name,area_cm2,ix_cm4,sx_cm3,zx_cm3,rx_cm,ry_cm,depth_cm\n"
+                        "B,20,200,40,45,4,3,11\n" + row + "\n")
+        assert run_cli("sections", "--pool", str(path)) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestFrameInteractions:

@@ -285,6 +285,25 @@ class TestValidation:
                 elastic_modulus=E, yield_stress=24.0, density=0.00785,
             )
 
+    def test_zero_length_member(self):
+        with pytest.raises(ValueError, match=r"member \(1, 2\) has zero length"):
+            FrameModel(
+                nodes=((0.0, 0.0), (0.0, 100.0), (0.0, 100.0)),
+                members=((0, 1, 0), (1, 2, 0)),
+                supports=((0, ("ux", "uy", "rot")),), loads=(),
+                group_roles=("column",), story_levels=(),
+                elastic_modulus=E, yield_stress=24.0, density=0.00785,
+            )
+
+    def test_non_positive_k_factor(self):
+        with pytest.raises(ValueError, match="one positive factor per group"):
+            FrameModel(
+                nodes=((0.0, 0.0), (0.0, 100.0)), members=((0, 1, 0),),
+                supports=((0, ("ux", "uy", "rot")),), loads=(),
+                group_roles=("column",), story_levels=(), group_k_factors=(0.0,),
+                elastic_modulus=E, yield_stress=24.0, density=0.00785,
+            )
+
     def test_assignment_length(self):
         model, _ = vertical_column(1, 100.0, SHAPE, E, tip_load=1.0)
         with pytest.raises(ValueError, match="assignment length"):

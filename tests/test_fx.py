@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framefx.fx import (
-    AlphaBounds,
     FunctioningRule,
     alpha_max,
     expand_continuous,
@@ -13,7 +12,9 @@ from framefx.fx import (
     reduced_dimension,
     validate_rules,
 )
-from framefx.problems import SteppedColumnSpec, attach_fx, stepped_column_problem
+from framefx.problems import Domain, SteppedColumnSpec, attach_fx, \
+    stepped_column_problem
+from framefx.sections import SectionPool
 
 
 class TestAlphaMax:
@@ -88,6 +89,26 @@ class TestExpandDiscrete:
                 areas = [small_pool[i].area for i in idx]
                 assert all(a2 <= a1 for a1, a2 in zip(areas, areas[1:]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           # areas from a short list, so pools often repeat an area
+           areas=st.lists(st.sampled_from([5.0, 7.5, 10.0, 12.0, 20.0, 33.0, 60.0]),
+                          min_size=2, max_size=12).filter(lambda a: len(set(a)) > 1),
+           steps=st.lists(st.floats(1.0, 400.0), min_size=1, max_size=10))
+    def test_random_pools_give_monotone_stacks(self, data, areas, steps):
+        from conftest import make_shape
+        pool = SectionPool([make_shape(f"S{i}", area=a, depth=1.0 + i)
+                            for i, a in enumerate(areas)])
+        heights = np.concatenate(([0.0], np.cumsum(steps)))
+        a_max = alpha_max(pool.min_area, pool.max_area, heights[-1])
+        alpha = data.draw(st.one_of(st.just(1.0), st.just(a_max),
+                                    st.floats(1.0, a_max)))
+        base = data.draw(st.integers(0, len(pool) - 1))
+        idx = expand_discrete(base, alpha, heights, pool)
+        assert idx[0] == base and ((0 <= idx) & (idx < len(pool))).all()
+        stack = [pool[i].area for i in idx]
+        assert all(upper <= lower for lower, upper in zip(stack, stack[1:]))
+
     def test_bad_base_index(self, small_pool):
         with pytest.raises(IndexError):
             expand_discrete(9, 1.0, [0.0, 10.0], small_pool)
@@ -103,8 +124,9 @@ class TestRules:
             FunctioningRule((0, 1, 2), (0.0, 10.0, 10.0))
 
     def test_alpha_bounds_validation(self):
-        with pytest.raises(ValueError):
-            AlphaBounds(upper=0.99)
+        # alpha's bounds are a continuous Domain, which rejects an inverted range
+        with pytest.raises(ValueError, match="empty domain"):
+            Domain("continuous", 1.0, 0.99, label="alpha")
 
     def test_reduced_dimension_cases(self):
         # one 50-variable profile -> 2 parameters

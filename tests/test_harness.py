@@ -249,7 +249,7 @@ class TestPlanValidation:
                            population={"magic": 5}, max_fe={"magic": 50})
 
     def test_missing_budget(self):
-        with pytest.raises(ValueError, match="positive population"):
+        with pytest.raises(ValueError, match="population_size must be >= 4"):
             ExperimentPlan(name="x", problem_spec={"kind": "sphere"},
                            strategies=("none",), algorithms=("de",),
                            population={}, max_fe={})

@@ -67,7 +67,7 @@ class TestFrameProblems:
     def test_8story_variable_count(self):
         problem = frame_problem("frame-8story-1bay")
         assert problem.dimension == 8  # 4 column bands + 4 beam bands
-        roles = [g["role"] for g in problem.frame.config["groups"]]
+        roles = problem.frame.model.group_roles
         assert roles.count("column") == 4 and roles.count("beam") == 4
 
     def test_15story_variable_count_and_reduction(self):
@@ -127,9 +127,8 @@ class TestFrameProblems:
 
     def test_24story_columns_use_w14_pool(self):
         problem = frame_problem("frame-24story-3bay")
-        for g, grp in enumerate(problem.frame.config["groups"]):
-            n_shapes = len(problem.frame.pools[g])
-            assert n_shapes == (37 if grp["role"] == "column" else 267)
+        for role, pool in zip(problem.frame.model.group_roles, problem.frame.pools):
+            assert len(pool) == (37 if role == "column" else 267)
 
 
 class TestAttachFx:

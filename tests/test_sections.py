@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from framefx.sections import (
+    AREA,
+    DEPTH,
     SectionPool,
     SectionTableError,
     circular_properties,
@@ -38,6 +40,16 @@ class TestLoader:
                 "A,10,100,20,24,3,2,9\n",
                 "B,-1,100,20,24,3,2,9\n",
             ]))
+
+    @pytest.mark.parametrize("column", range(1, 8))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    def test_non_finite_or_non_positive_property_names_row(self, column, value):
+        fields = "A,10,100,20,24,3,2,9".split(",")
+        fields[column] = value
+        with pytest.raises(SectionTableError, match="row 3: A: .* must be finite "
+                                                    "and positive"):
+            load_section_table(table(["B,20,200,40,45,4,3,11\n",
+                                      ",".join(fields) + "\n"]))
 
     def test_elastic_above_plastic_rejected(self):
         with pytest.raises(SectionTableError, match="exceeds"):
@@ -154,13 +166,13 @@ class TestCircular:
 class TestInterpolated:
     def test_exact_at_catalog_knot(self, small_pool):
         s = interpolated_properties(small_pool, 20.0)
-        assert s.area == 20.0
-        assert s.depth == small_pool[1].depth
+        assert s[AREA] == 20.0
+        assert s[DEPTH] == small_pool[1].depth
 
     def test_between_knots_is_between_values(self, small_pool):
         s = interpolated_properties(small_pool, 25.0)
-        assert small_pool[1].depth < s.depth < small_pool[2].depth
+        assert small_pool[1].depth < s[DEPTH] < small_pool[2].depth
 
     def test_clamped_to_catalog_range(self, small_pool):
-        assert interpolated_properties(small_pool, 1.0).area == small_pool.min_area
-        assert interpolated_properties(small_pool, 999.0).area == small_pool.max_area
+        assert interpolated_properties(small_pool, 1.0)[AREA] == small_pool.min_area
+        assert interpolated_properties(small_pool, 999.0)[AREA] == small_pool.max_area

@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from framefx.config import build_frame, validate_frame_config
+from framefx.config import build_frame, load_frame_config
 from framefx.evaluate import constraint_values
 from framefx.fea import analyze
 
@@ -250,8 +250,7 @@ def main():
         doc, lateral, gravity = build()
         print(f"calibrating {doc['name']} (percentile {pct})")
         doc = calibrate(doc, lateral, gravity, percentile=pct)
-        errs = validate_frame_config(doc)
-        assert not errs, errs
+        load_frame_config(doc)  # raises ConfigError listing every problem
         path = out_dir / (doc["name"].replace("-", "_", 1).replace("-", "_") + ".json")
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
