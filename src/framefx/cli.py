@@ -108,6 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args) -> int:
     spec = _problem_spec(args)
     problem = build_problem(spec)  # validates config before touching the output tree
+    if args.jobs < 1:
+        raise ConfigError([f"--jobs must be >= 1, got {args.jobs}"])
 
     algorithms = ALGORITHMS if args.algo == "all" else tuple(args.algo.split(","))
     strategies = STRATEGIES if args.strategy == "all" \
@@ -192,7 +194,10 @@ def cmd_plot(args) -> int:
         conv, infea = [], []
         for algorithm, strategy in plan.cells():
             cell = cell_name(algorithm, strategy)
-            fe, best, frac = mean_history(records[cell])
+            try:
+                fe, best, frac = mean_history(records[cell])
+            except ValueError:  # no completed trial in this cell
+                continue
             conv.append((cell, fe.tolist(), best.tolist()))
             infea.append((cell, fe.tolist(), frac.tolist()))
         line_chart(fig_dir / "convergence.svg", conv,

@@ -9,7 +9,7 @@ constraint contributes at most 1 for the worst point seen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,19 +79,17 @@ class ConstraintSet:
 class Evaluation:
     """One objective-plus-constraints evaluation (one FE charge), or a whole
     population of them when every field carries a leading design axis:
-    objective (p,), violations (p, c), normalized_violation (p,)."""
+    objective (p,), violations (p, c), normalized_violation (p,).
+
+    ``normalized_violation`` is set only where designs are ranked, against a
+    GMaxTracker snapshot; a bare evaluation leaves it None."""
 
     objective: float
     violations: np.ndarray
-    normalized_violation: float = field(default=None)  # type: ignore[assignment]
+    normalized_violation: float | None = None
 
     def __post_init__(self):
         self.violations = np.asarray(self.violations, dtype=float)
-        if self.normalized_violation is None:
-            # stateless default: each violated constraint is its own worst
-            # case so far and contributes exactly 1
-            self.normalized_violation = np.count_nonzero(self.violations > 0,
-                                                         axis=-1) * 1.0
 
     def __getitem__(self, rows) -> "Evaluation":
         """The designs at ``rows`` of a population."""

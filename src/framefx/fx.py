@@ -5,7 +5,9 @@ A functioned set of column variables (ordered by the height of each section
 above the base) is generated from the base value and a decay rate alpha:
 value(h) = base / alpha**h.  With alpha in [1, alpha_max] the profile is
 uniform at one end of the range and reaches the catalog floor at the top of
-the column at the other, so every expansion is monotone non-increasing with
+the column at the other.  A catalog-indexed stack snaps each target area to
+its nearest shape and takes a running minimum of the indices from the base
+up; the pool is sorted by area, so every expansion is non-increasing with
 height, which is also the buildable configuration.
 """
 
@@ -87,20 +89,17 @@ def expand_continuous(base_value: float, alpha: float, heights) -> np.ndarray:
 def expand_discrete(base_index: int, alpha: float, heights, pool: SectionPool) -> np.ndarray:
     """Snap the exponential area profile onto the catalog, never increasing.
 
-    Each target area is base area decayed by alpha**h; the nearest catalog
-    shape is chosen subject to a cap at the previous pick's area, so the
-    resulting areas are non-increasing with height by construction.
+    Each target area above the base, base area / alpha**h, is snapped to its
+    nearest catalog shape in one lookup; a running minimum over the base
+    index and the snapped indices then keeps every index at or below the
+    one under it.  The pool is sorted by area, so the areas are
+    non-increasing with height by construction.
     """
     if not 0 <= base_index < len(pool):
         raise IndexError(f"base_index {base_index} out of range for pool of {len(pool)}")
-    base_area = pool[base_index].area
-    targets = expand_continuous(base_area, alpha, heights)
-    indices = np.empty(len(targets), dtype=int)
-    indices[0] = base_index
-    for k in range(1, len(targets)):
-        cap = pool[indices[k - 1]].area
-        indices[k] = pool_index_of_nearest_area(pool, float(targets[k]), cap_area=cap)
-    return indices
+    targets = expand_continuous(pool.areas[base_index], alpha, heights)
+    snapped = pool_index_of_nearest_area(pool, targets[1:])
+    return np.minimum.accumulate(np.r_[base_index, snapped])
 
 
 def validate_rules(rules, n: int):

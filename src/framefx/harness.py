@@ -229,9 +229,11 @@ def run_plan(plan: ExperimentPlan, out_root, jobs=1, echo=None):
                 pending.append((manifest, algorithm, strategy, seed, str(plan_dir)))
 
     if pending:
-        echo(f"running {len(pending)} trials (jobs={jobs})")
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(pending))
+        echo(f"running {len(pending)} trials (jobs={workers})")
+        if workers > 1:
+            # a forked pool starts all its workers at the first submit
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for i, _ in enumerate(pool.map(_trial_worker, pending), 1):
                     echo(f"  trial {i}/{len(pending)} done")
         else:

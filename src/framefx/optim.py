@@ -51,7 +51,6 @@ class OptimizerConfig:
     # DE coefficients
     scale_f: float = 0.5
     crossover_cr: float = 0.9
-    variant: str = "rand/1/bin"
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -61,8 +60,6 @@ class OptimizerConfig:
                              "three donors plus the target)")
         if self.max_fe < self.population_size:
             raise ValueError("max_fe must cover at least the initial population")
-        if self.variant != "rand/1/bin":
-            raise ValueError(f"unsupported DE variant {self.variant!r}")
 
 
 @dataclass
@@ -99,7 +96,7 @@ def _uniform(rng, lower, upper, size):
 
 
 def initialize_population(problem: Problem, config: OptimizerConfig,
-                          strategy="none", rules=None, rng=None) -> np.ndarray:
+                          strategy="none", rng=None) -> np.ndarray:
     """Initial positions, one row per particle, for the given strategy.
 
     none: uniform over the problem's own domains.
@@ -124,7 +121,7 @@ def initialize_population(problem: Problem, config: OptimizerConfig,
         return _uniform(rng, problem.lower, problem.upper, pop)
     if problem.is_reduced:
         raise ValueError("strategy 'ifx' expects the full-space problem")
-    reduced = attach_fx(problem, rules)
+    reduced = attach_fx(problem)
     samples = _uniform(rng, reduced.lower, reduced.upper, pop)
     return np.array([reduced.expand_full(s) for s in samples])
 
@@ -239,11 +236,11 @@ class _RunState:
 
 
 def pso_run(problem: Problem, config: OptimizerConfig, observers=(),
-            strategy="none", rules=None) -> RunRecord:
+            strategy="none") -> RunRecord:
     """Global-best particle swarm with feasibility-rule best updates."""
     init_rng, rng = _rng_streams(config.rng_seed)
     state = _RunState(problem, config, strategy, observers)
-    X = initialize_population(problem, config, strategy, rules, rng=init_rng)
+    X = initialize_population(problem, config, strategy, rng=init_rng)
     pop, n = X.shape
     lower, upper = problem.lower, problem.upper
     v_max = config.v_max_fraction * (upper - lower)
@@ -285,7 +282,7 @@ def pso_run(problem: Problem, config: OptimizerConfig, observers=(),
 
 
 def de_run(problem: Problem, config: OptimizerConfig, observers=(),
-           strategy="none", rules=None) -> RunRecord:
+           strategy="none") -> RunRecord:
     """DE/rand/1/bin with greedy feasibility-rule selection.
 
     A trial replaces its target only when strictly better under the
@@ -294,7 +291,7 @@ def de_run(problem: Problem, config: OptimizerConfig, observers=(),
     """
     init_rng, rng = _rng_streams(config.rng_seed)
     state = _RunState(problem, config, strategy, observers)
-    X = initialize_population(problem, config, strategy, rules, rng=init_rng)
+    X = initialize_population(problem, config, strategy, rng=init_rng)
     pop, n = X.shape
     lower, upper = problem.lower, problem.upper
 
@@ -325,6 +322,6 @@ def de_run(problem: Problem, config: OptimizerConfig, observers=(),
     return state.make_record(X[best], f[best], g[best])
 
 
-def run_optimizer(problem, config, observers=(), strategy="none", rules=None) -> RunRecord:
+def run_optimizer(problem, config, observers=(), strategy="none") -> RunRecord:
     fn = pso_run if config.algorithm == "pso" else de_run
-    return fn(problem, config, observers=observers, strategy=strategy, rules=rules)
+    return fn(problem, config, observers=observers, strategy=strategy)

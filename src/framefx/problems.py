@@ -264,27 +264,27 @@ def frame_problem(config_source) -> Problem:
     )
 
 
-def attach_fx(problem: Problem, rules=None) -> Problem:
+def attach_fx(problem: Problem) -> Problem:
     """Reduced-space view: functioned variables replaced by (base, alpha).
 
     The reduced evaluation expands to a full vector (clamped into the
-    original box for continuous variables, capped onto the catalog for index
+    original box for continuous variables, snapped onto the catalog for index
     variables) and delegates to the full problem, so one reduced evaluation
     charges exactly one FE.
     """
     if problem.is_reduced:
         raise ValueError("problem is already reduced")
-    rules = tuple(rules if rules is not None else problem.rules)
+    rules = problem.rules
     if not rules:
         raise ValueError(f"{problem.name}: no functioning rules declared")
     n = problem.dimension
     validate_rules(rules, n)
 
-    functioned = sorted(i for r in rules for i in r.replaced_variable_ids)
-    untouched = [i for i in range(n) if i not in set(functioned)]
+    untouched = np.setdiff1d(np.arange(n),
+                             [i for r in rules for i in r.replaced_variable_ids])
 
     reduced_domains = []
-    rule_info = []
+    compiled = []  # per rule: (ids, heights, base domain, offset of its parameters)
     for rule in rules:
         ids = rule.replaced_variable_ids
         base_dom = problem.domains[ids[0]]
@@ -301,16 +301,15 @@ def attach_fx(problem: Problem, rules=None) -> Problem:
             lo, hi = base_dom.pool.min_area, base_dom.pool.max_area
         else:
             lo, hi = base_dom.lower, base_dom.upper
-        k = len(reduced_domains)
+        compiled.append((np.array(ids), np.array(rule.heights), base_dom,
+                         len(reduced_domains)))
         reduced_domains.append(Domain(base_dom.kind, base_dom.lower, base_dom.upper,
                                       pool=base_dom.pool,
                                       label=f"{base_dom.label or 'base'}"))
         reduced_domains.append(Domain("continuous", 1.0,
                                       alpha_max(lo, hi, rule.heights[-1]),
                                       label="alpha"))
-        rule_info.append((rule, base_dom, k))
-    for i in untouched:
-        reduced_domains.append(problem.domains[i])
+    reduced_domains.extend(problem.domains[i] for i in untouched)
     reduced_domains = tuple(reduced_domains)
     n_params = 2 * len(rules)
 
@@ -319,22 +318,17 @@ def attach_fx(problem: Problem, rules=None) -> Problem:
     def expand(xr):
         xr = np.asarray(xr, dtype=float)
         full = np.empty(n)
-        for rule, base_dom, k in rule_info:
-            base_raw, alpha = float(xr[k]), float(xr[k + 1])
-            alpha = max(alpha, 1.0)
-            heights = np.asarray(rule.heights)
-            if base_dom.kind == "index":
-                base_index = min(max(round(base_raw), int(base_dom.lower)),
-                                 int(base_dom.upper))
-                idx = expand_discrete(base_index, alpha, heights, base_dom.pool)
-                full[list(rule.replaced_variable_ids)] = idx
+        for ids, heights, dom, k in compiled:
+            alpha = max(float(xr[k + 1]), 1.0)
+            if dom.kind == "index":
+                # np.rint rounds half-way values to even, as frame_problem does
+                base_index = int(np.clip(np.rint(xr[k]), dom.lower, dom.upper))
+                full[ids] = expand_discrete(base_index, alpha, heights, dom.pool)
             else:
-                base_value = min(max(base_raw, base_dom.lower), base_dom.upper)
+                base_value = min(max(float(xr[k]), dom.lower), dom.upper)
                 values = expand_continuous(base_value, alpha, heights)
-                full[list(rule.replaced_variable_ids)] = np.clip(
-                    values, base_dom.lower, base_dom.upper)
-        for slot, i in enumerate(untouched):
-            full[i] = xr[n_params + slot]
+                full[ids] = np.clip(values, dom.lower, dom.upper)
+        full[untouched] = xr[n_params:]
         return full
 
     def evaluate(xr) -> Evaluation:
@@ -342,9 +336,8 @@ def attach_fx(problem: Problem, rules=None) -> Problem:
 
     def decode(xr):
         xr = np.asarray(xr, dtype=float)
-        reduced = {}
-        for ri, (rule, base_dom, k) in enumerate(rule_info):
-            reduced[f"rule{ri}"] = {"base": float(xr[k]), "alpha": float(xr[k + 1])}
+        reduced = {f"rule{ri}": {"base": float(xr[k]), "alpha": float(xr[k + 1])}
+                   for ri, (*_, k) in enumerate(compiled)}
         out = problem.decode(expand(xr))
         out["reduced"] = reduced
         return out

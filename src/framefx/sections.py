@@ -190,25 +190,18 @@ def load_pool(label: str) -> SectionPool:
     return load_section_table(label, label=label)
 
 
-def pool_index_of_nearest_area(pool: SectionPool, target_area: float, cap_area=None) -> int:
-    """Index of the shape with area closest to ``target_area``.
+def pool_index_of_nearest_area(pool: SectionPool, target_area):
+    """Index of the shape with area closest to ``target_area``: an int for a
+    number, an index array for an array of targets.
 
-    Ties break toward the smaller area.  When ``cap_area`` is given only
-    shapes with area <= cap_area are considered; if none qualify, the
-    smallest shape's index is returned (documented fallback so expansion
-    never fails).
+    Each target takes the first index at the smallest distance, so ties go
+    to the smaller area of the ascending pool.
     """
-    if target_area <= 0:
-        raise ValueError(f"target_area must be positive, got {target_area}")
-    areas = pool.areas
-    if cap_area is not None:
-        n_ok = int(np.searchsorted(areas, cap_area, side="right"))
-        if n_ok == 0:
-            return 0
-        areas = areas[:n_ok]
-    # ascending scan with strict improvement keeps the first (smaller) shape on ties
-    diffs = np.abs(areas - target_area)
-    return int(np.argmin(diffs))
+    target = np.asarray(target_area, dtype=float)
+    if np.any(target <= 0):
+        raise ValueError(f"target areas must be positive, got {target_area}")
+    index = np.abs(pool.areas - target[..., None]).argmin(axis=-1)
+    return int(index) if index.ndim == 0 else index
 
 
 def circular_properties(radius: float, name=None) -> SectionShape:

@@ -6,8 +6,9 @@ rotated one member at a time, scattered into a dense global matrix, solved
 with a dense Cholesky factorization, and constraints evaluated member by
 member; and the original per-group section path: one named SectionShape
 per group, indices rounded with round(), member properties read with
-getattr.  They are slow and plain on purpose; tests compare the fast paths
-against them.
+getattr; and the original functioned column stack, searched one height at a
+time for the nearest area capped at the pick below.  They are slow and
+plain on purpose; tests compare the fast paths against them.
 """
 
 import math
@@ -258,3 +259,25 @@ def member_values(model, assignment, attr):
     """Section property ``attr`` of each member's group, read with getattr."""
     return np.array([getattr(s, attr) for s in assignment])[
         [g for _, _, g in model.members]]
+
+
+def capped_nearest_area(pool, target_area, cap_area):
+    """Index of the area nearest ``target_area`` among the shapes with area
+    <= ``cap_area`` (the smallest shape when none qualifies); ties go to the
+    smaller area."""
+    areas = pool.areas
+    n_ok = int(np.searchsorted(areas, cap_area, side="right"))
+    if n_ok == 0:
+        return 0
+    return int(np.argmin(np.abs(areas[:n_ok] - target_area)))
+
+
+def expand_discrete(base_index, alpha, heights, pool):
+    """Catalog indices of a functioned stack, one height at a time: each
+    target area base / alpha**h takes the nearest shape no larger than the
+    one picked below it."""
+    targets = pool[base_index].area / np.power(alpha, np.asarray(heights, dtype=float))
+    indices = [base_index]
+    for target in targets[1:]:
+        indices.append(capped_nearest_area(pool, float(target), pool[indices[-1]].area))
+    return np.array(indices)

@@ -47,6 +47,7 @@ class TestRun:
         ("--algo", "bogus", "unknown algorithm 'bogus'"),
         ("--strategy", "bogus", "unknown strategy 'bogus'"),
         ("--trials", "0", "trials must be >= 1"),
+        ("--jobs", "0", "--jobs must be >= 1"),
     ])
     def test_bad_arguments_exit_1_without_output(self, tmp_path, capsys, option,
                                                  value, message):
@@ -272,6 +273,15 @@ class TestPlot:
                 "--algo", "pso", "--strategy", "none", "--trials", "1",
                 "--pop", "8", "--max-fe", "32", "--out", str(tmp_path))
         assert run_cli("plot", str(tmp_path)) == 0
+
+    def test_cells_without_completed_trials_are_skipped(self, tmp_path, capsys):
+        # the sphere declares no functioning rules, so its ifx and fx trials fail
+        run_cli("run", "--problem", "sphere", "--trials", "2", "--pop", "6",
+                "--max-fe", "24", "--jobs", "1", "--out", str(tmp_path))
+        capsys.readouterr()
+        assert run_cli("plot", str(tmp_path / "sphere-5")) == 0
+        conv = (tmp_path / "sphere-5" / "figures" / "convergence.svg").read_text()
+        assert conv.count("<polyline") == 2  # pso-none and de-none
 
     def test_empty_results_tree(self, tmp_path, capsys):
         assert run_cli("plot", str(tmp_path)) == 1

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fea_oracle import expand_discrete as capped_expand_discrete
+from framefx.config import BUNDLED_CONFIGS
 from framefx.fx import (
     FunctioningRule,
     alpha_max,
@@ -12,7 +14,7 @@ from framefx.fx import (
     reduced_dimension,
     validate_rules,
 )
-from framefx.problems import Domain, SteppedColumnSpec, attach_fx, \
+from framefx.problems import Domain, SteppedColumnSpec, attach_fx, frame_problem, \
     stepped_column_problem
 from framefx.sections import SectionPool
 
@@ -108,6 +110,24 @@ class TestExpandDiscrete:
         assert idx[0] == base and ((0 <= idx) & (idx < len(pool))).all()
         stack = [pool[i].area for i in idx]
         assert all(upper <= lower for lower, upper in zip(stack, stack[1:]))
+        assert idx.tolist() == capped_expand_discrete(base, alpha, heights, pool).tolist()
+
+    def test_matches_capped_loop_on_bundled_rules(self):
+        # every base x 64 alphas of each distinct (pool, heights) column stack
+        stacks = {}
+        for name in BUNDLED_CONFIGS:
+            problem = frame_problem(name)
+            for rule in problem.rules:
+                pool = problem.domains[rule.replaced_variable_ids[0]].pool
+                stacks[pool.label, rule.heights] = pool
+        assert len(stacks) == 3
+        for (_, heights), pool in stacks.items():
+            a_max = alpha_max(pool.min_area, pool.max_area, heights[-1])
+            for base in range(len(pool)):
+                for alpha in np.linspace(1.0, a_max, 64):
+                    assert expand_discrete(base, alpha, heights, pool).tolist() == \
+                        capped_expand_discrete(base, alpha, heights, pool).tolist(), \
+                        (pool.label, heights, base, alpha)
 
     def test_bad_base_index(self, small_pool):
         with pytest.raises(IndexError):

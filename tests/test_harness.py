@@ -139,6 +139,30 @@ class TestRunPlan:
                 assert ev.objective == r.final_objective
                 assert ev.violations.tolist() == r.final_violations
 
+    def test_process_pool_capped_at_pending_trials(self, tmp_path, monkeypatch):
+        started = []
+
+        class FakePool:  # runs in process and records the pool size asked for
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        _, _, n_new = run_plan(tiny_plan(trials=3, algorithms=("de",)),
+                               tmp_path / "three", jobs=500)
+        assert n_new == 3 and started == [3]
+        _, _, n_new = run_plan(tiny_plan(trials=1, algorithms=("de",)),
+                               tmp_path / "one", jobs=500)
+        assert n_new == 1 and started == [3]  # a single trial runs without a pool
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         plan = tiny_plan(trials=2, algorithms=("de",))
         run_plan(plan, tmp_path / "serial", jobs=1)

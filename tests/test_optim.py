@@ -18,7 +18,7 @@ from framefx.optim import (
 )
 from framefx.problems import Domain, Problem, SteppedColumnSpec, attach_fx, \
     sphere_problem, stepped_column_problem
-from framefx.evaluate import Evaluation, deb_compare
+from framefx.evaluate import Evaluation, GMaxTracker, deb_compare
 
 
 def config(algorithm="pso", pop=25, max_fe=500, seed=0, **kw):
@@ -301,9 +301,15 @@ class TestRecordInvariants:
         assert all(0.0 <= f <= 1.0 for f in record.infeasible_fraction_history)
 
     def test_feasibility_iff_zero_normalized_violation(self):
+        # the normalized violation a record carries is taken against the run's GMax
         problem = stepped_column_problem(SteppedColumnSpec(segment_count=8))
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = 3.0 + rng.random(8) * 47.0
-            ev = problem.evaluate(x)
-            assert ev.feasible == (ev.normalized_violation == 0.0)
+        evs = [problem.evaluate(3.0 + rng.random(8) * 47.0) for _ in range(50)]
+        assert {ev.feasible for ev in evs} == {True, False}
+        tracker = GMaxTracker()
+        tracker.merge([ev.violations for ev in evs])
+        for ev in evs:
+            assert ev.feasible == (tracker.normalize(ev.violations) == 0.0)
+        for algorithm in ("pso", "de"):
+            record = run_optimizer(problem, config(algorithm, pop=10, max_fe=100, seed=2))
+            assert record.final_feasible == (record.final_normalized_violation == 0.0)

@@ -2,7 +2,9 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
+from conftest import make_shape
 from hypothesis import given, strategies as st
 
 from framefx.sections import (
@@ -113,18 +115,24 @@ class TestNearestArea:
     def test_nearest_no_cap(self, small_pool):
         assert pool_index_of_nearest_area(small_pool, 19.0) == 1
 
-    def test_cap_dominates(self, small_pool):
-        assert pool_index_of_nearest_area(small_pool, 19.0, cap_area=15.0) == 0
-
     def test_tie_goes_smaller(self, small_pool):
         assert pool_index_of_nearest_area(small_pool, 15.0) == 0
-
-    def test_cap_below_smallest_falls_back(self, small_pool):
-        assert pool_index_of_nearest_area(small_pool, 19.0, cap_area=5.0) == 0
 
     def test_nonpositive_target(self, small_pool):
         with pytest.raises(ValueError):
             pool_index_of_nearest_area(small_pool, 0.0)
+        with pytest.raises(ValueError):
+            pool_index_of_nearest_area(small_pool, [19.0, -1.0])
+
+    @given(st.lists(st.floats(min_value=0.5, max_value=50.0), max_size=20))
+    def test_array_matches_scalar(self, targets):
+        # repeated areas: ties between equal shapes go to the first one
+        pool = SectionPool([make_shape(f"S{i}", area=a, depth=1.0 + i)
+                            for i, a in enumerate((10.0, 20.0, 20.0, 30.0, 30.0, 40.0))])
+        scalars = [pool_index_of_nearest_area(pool, t) for t in targets]
+        assert all(type(i) is int for i in scalars)
+        assert pool_index_of_nearest_area(pool, np.array(targets)).tolist() == scalars
+        assert set(scalars) <= {0, 1, 3, 5}
 
     @given(st.floats(min_value=0.5, max_value=60.0))
     def test_idempotent_requery(self, target):
