@@ -15,8 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import BUNDLED_CONFIGS, ConfigError
-from .evaluate import Evaluation, constraint_values
-from .fea import StructuralInstabilityError, analyze, frame_weight
+from .fea import StructuralInstabilityError, analyze
 from .fx import STRATEGIES, reduced_dimension
 from .grouping import interaction_matrix, render_matrix
 from .harness import ExperimentPlan, PlanMismatchError, build_problem, cell_name, \
@@ -140,14 +139,15 @@ def cmd_run(args) -> int:
           else f"completed {n_new} new trials")
     print(f"results: {out_root / plan.name}")
     print()
-    header = f"{'cell':<12}{'median':>14}{'mean':>14}{'best':>14}{'vs none %':>12}"
+    header = (f"{'cell':<12}{'completed':>10}{'failed':>8}{'median':>14}{'mean':>14}"
+              f"{'best':>14}{'vs none %':>12}")
     print(header)
     print("-" * len(header))
     for s in summaries:
         imp = "" if s.improvement_vs_none_pct is None \
             else f"{s.improvement_vs_none_pct:.2f}"
-        print(f"{cell_name(s.algorithm, s.strategy):<12}{s.median:>14.4f}"
-              f"{s.mean:>14.4f}{s.best:>14.4f}{imp:>12}")
+        print(f"{cell_name(s.algorithm, s.strategy):<12}{s.completed:>10}{s.failed:>8}"
+              f"{s.median:>14.4f}{s.mean:>14.4f}{s.best:>14.4f}{imp:>12}")
     if all(s.failed == s.trials for s in summaries):
         print("error: every trial failed; see the records' error field",
               file=sys.stderr)
@@ -253,8 +253,7 @@ def cmd_validate(args) -> int:
         print(f"constraint families: {fams}")
         largest = tuple(pool[len(pool) - 1] for pool in ctx.pools)
         result = analyze(ctx.model, largest)  # probe at the stiffest sections
-        ev = Evaluation(frame_weight(ctx.model, largest),
-                        constraint_values(ctx.model, largest, result, ctx.constraint_set))
+        ev = problem.evaluate(problem.upper)
         print(f"probe at largest sections: max lateral displacement "
               f"{result.max_lateral_displacement:.4f} cm, "
               f"{'feasible' if ev.feasible else 'infeasible'}, "

@@ -204,14 +204,16 @@ def effective_length_factor_sway(g_a, g_b):
 
 
 def _joint_stiffness_ratios(kernel, members):
-    """Per-node G = sum(I_col/L_col) / sum(I_beam/L_beam) for sway K factors;
-    ``members`` holds each member's section properties, (m, k)."""
-    stiff = np.repeat(members[:, INERTIA] / kernel.length, 2)
-    column_end = np.repeat(kernel.is_column, 2)
-    ends = kernel.ends.ravel()  # a0, b0, a1, b1, ...: the per-member sum order
+    """Per-node G = sum(I_col/L_col) / sum(I_beam/L_beam) for sway K factors,
+    (..., n); ``members`` holds each member's section properties, (..., m, k)."""
+    stiff = np.repeat(members[..., INERTIA] / kernel.length, 2, axis=-1)
     n = kernel.supported.size
-    col = np.bincount(ends, np.where(column_end, stiff, 0.0), minlength=n)
-    beam = np.bincount(ends, np.where(column_end, 0.0, stiff), minlength=n)
+    sums = np.zeros(stiff.shape[:-1] + (2 * n,))
+    # member ends in order a0, b0, a1, ...: column ends sum into their node's
+    # bin, beam ends into the bin n past it
+    np.add.at(sums, (..., kernel.ends.ravel() + n * ~np.repeat(kernel.is_column, 2)),
+              stiff)
+    col, beam = sums[..., :n], sums[..., n:]
     with np.errstate(divide="ignore", invalid="ignore"):
         joint = np.where(beam > 0, col / beam, 10.0)
     # recommended values for a fixed base (1) and a pinned base (10)
@@ -224,12 +226,13 @@ def _member_k_factors(kernel, members, cs: ConstraintSet):
     ratios = _joint_stiffness_ratios(kernel, members)
     a, b = kernel.ends.T
     return np.where(kernel.is_column,
-                    effective_length_factor_sway(ratios[a], ratios[b]), 1.0)
+                    effective_length_factor_sway(ratios[..., a], ratios[..., b]), 1.0)
 
 
 def constraint_values(model: FrameModel, assignment, result: AnalysisResult,
                       cs: ConstraintSet) -> np.ndarray:
-    """All active constraint values for one analyzed design, fixed layout.
+    """All active constraint values for one analyzed design, fixed layout;
+    (p, c) for a stack of p designs analyzed together.
 
     Layout (only active families present): per-member stress, roof drift,
     per-story inter-story drift, per-member strength interaction.
@@ -245,21 +248,21 @@ def constraint_values(model: FrameModel, assignment, result: AnalysisResult,
             g = result.max_lateral_displacement - cs.roof_drift_limit_abs
         else:
             g = result.max_lateral_displacement / model.height - cs.drift_index_R
-        parts.append(np.array([g]))
+        parts.append(np.expand_dims(g, -1))
     if "interstory_drift" in cs.families:
         parts.append(result.story_drifts / result.story_heights - cs.interstory_index_RI)
     if "lrfd_interaction" in cs.families:
         kernel = model._kernel
-        members = block[kernel.group]
+        members = np.take(block, kernel.group, axis=-2)
         E, fy = model.elastic_modulus, model.yield_stress
-        area = members[:, AREA]
-        axial = result.member_forces[:, 0]
-        max_moment = np.maximum(np.abs(result.member_forces[:, 2]),
-                                np.abs(result.member_forces[:, 3]))
-        m_n = members[:, PLASTIC_MODULUS] * fy
+        area = members[..., AREA]
+        axial = result.member_forces[..., 0]
+        max_moment = np.maximum(np.abs(result.member_forces[..., 2]),
+                                np.abs(result.member_forces[..., 3]))
+        m_n = members[..., PLASTIC_MODULUS] * fy
         moment_ratio = max_moment / (PHI_BENDING * m_n)
         # weak-axis slenderness
-        min_radius = np.minimum(members[:, RADIUS_X], members[:, RADIUS_Y])
+        min_radius = np.minimum(members[..., RADIUS_X], members[..., RADIUS_Y])
         lambda_c = (_member_k_factors(kernel, members, cs) * kernel.length) \
             / (min_radius * math.pi) * math.sqrt(fy / E)
         p_n = area * column_critical_stress(lambda_c, fy)
@@ -270,7 +273,7 @@ def constraint_values(model: FrameModel, assignment, result: AnalysisResult,
         parts.append(np.where(kernel.is_column,
                               lrfd_interaction_value(axial_ratio, moment_ratio),
                               moment_ratio - 1.0))
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 def constraint_labels(model: FrameModel, cs: ConstraintSet):

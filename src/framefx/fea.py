@@ -3,22 +3,21 @@
 Elements are two-node Euler-Bernoulli frame members (axial + bending, 3 DOF
 per node: ux, uy, rot).  Analysis is first order.  Each model is compiled
 once into an array kernel (index maps, unit element stiffnesses and a
-scatter into banded storage); a design then costs one batched element
-build, one scatter, and a banded Cholesky factorization and solve, whose
-work grows with the half-bandwidth of the node numbering rather than with
-the full matrix.
+scatter into banded storage); a design then costs one element build, one
+scatter, and a banded Cholesky factorization and solve, whose work grows
+with the half-bandwidth of the DOF numbering rather than with the full
+matrix.  A stack of designs is analyzed in one call, each with its own bits.
 
 Units: cm, kN, kN*cm, kg (density in kg/cm^3, stresses in kN/cm^2).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .sections import AREA, INERTIA, SECTION_MODULUS, property_block
 
@@ -157,9 +156,10 @@ class _Kernel:
     A member's stiffness is linear in its section's area A and inertia I,
     so each member is stored as its global stiffness and end-force rows per
     unit A and per unit I, rotated once here; a design only scales them.
-    The free DOFs keep the model's numbering, and ``band_src``/``band_dst``
-    scatter the upper triangle of every element matrix straight into LAPACK
-    upper band storage, ``band[bw + i - j, j] = K[i, j]``.
+    ``free`` lists the free DOFs in the model's numbering, or in node (y, x)
+    order where that narrows the band, and ``band_src``/``band_dst`` scatter
+    the upper triangle of every element matrix straight into column-major
+    LAPACK upper band storage, ``band[bw + i - j, j] = K[i, j]``.
     """
 
     def __init__(self, model: FrameModel):
@@ -190,21 +190,27 @@ class _Kernel:
         self.dofs = np.concatenate([3 * self.ends[:, :1] + np.arange(3),
                                     3 * self.ends[:, 1:] + np.arange(3)], axis=1)
         self.fixed = np.array(model.constrained_dofs(), dtype=np.intp)
-        self.free = np.setdiff1d(np.arange(self.n_dof), self.fixed)
         self.loads = np.zeros(self.n_dof)
         for node, fx, fy, m in model.loads:
             self.loads[3 * node:3 * node + 3] += (fx, fy, m)
 
+        is_free = np.ones(self.n_dof, dtype=bool)
+        is_free[self.fixed] = False
+        by_node = (3 * np.lexsort((nodes[:, 0], nodes[:, 1]))[:, None]
+                   + np.arange(3)).ravel()
+        # min keeps the model's own numbering on a tie
+        self.free = min((np.flatnonzero(is_free), by_node[is_free[by_node]]),
+                        key=self._bandwidth)
+        self.free_loads = self.loads[self.free]
         position = np.full(self.n_dof, -1)
         position[self.free] = np.arange(self.free.size)
         row, col = np.broadcast_arrays(position[self.dofs][:, :, None],
                                        position[self.dofs][:, None, :])
         upper = (row >= 0) & (row <= col)
         self.bandwidth = int((col - row)[upper].max(initial=0))
-        self.band_shape = (self.bandwidth + 1, self.free.size)
         self.band_src = np.flatnonzero(upper)
-        self.band_dst = (self.bandwidth + row[upper] - col[upper]) * self.free.size \
-            + col[upper]
+        self.band_dst = col[upper] * (self.bandwidth + 1) + self.bandwidth \
+            + row[upper] - col[upper]
 
         self.rot_fixed = np.zeros(len(model.nodes), dtype=bool)
         self.supported = np.zeros(len(model.nodes), dtype=bool)
@@ -220,6 +226,15 @@ class _Kernel:
         self.level_weights = on_level / np.maximum(counts, 1)[:, None]
         self.story_heights = np.diff(np.concatenate(([0.0], levels)))
 
+    def _bandwidth(self, free) -> int:
+        """Half-bandwidth of the stiffness matrix with the free DOFs numbered
+        in the order ``free``: the widest spread of one member's free DOFs."""
+        position = np.full(self.n_dof, -1)
+        position[free] = np.arange(free.size)
+        at = position[self.dofs]
+        spread = at.max(axis=1) - np.where(at < 0, self.n_dof, at).min(axis=1)
+        return int(spread.max(initial=0))
+
     def element_stiffness(self, area, inertia) -> np.ndarray:
         """Global stiffness of each member, (m, 6, 6)."""
         return area[:, None, None] * self.stiffness_per_area \
@@ -232,6 +247,9 @@ class _Kernel:
 
 @dataclass(frozen=True)
 class AnalysisResult:
+    """One design's results; a stack's carry a leading design axis, but for
+    ``story_heights``."""
+
     displacements: np.ndarray       # (n_nodes, 3): ux, uy, rot
     member_forces: np.ndarray       # (n_members, 4): axial (tension +), shear,
     #                                 moment_a, moment_b; kN and kN*cm
@@ -242,104 +260,117 @@ class AnalysisResult:
 
 
 def _design(model: FrameModel, assignment) -> np.ndarray:
-    """``assignment`` as its (G, k) section-property block, checked to hold
-    one row per group."""
+    """``assignment`` as its (G, k) section-property block or (p, G, k)
+    stack of blocks, checked to hold one row per group."""
     block = property_block(assignment)
-    if len(block) != model.n_groups:
+    if block.shape[-2] != model.n_groups:
         raise ValueError(
-            f"assignment length {len(block)} != group count {model.n_groups}"
+            f"assignment length {block.shape[-2]} != group count {model.n_groups}"
         )
     return block
 
 
 def constrained_stiffness(model: FrameModel, assignment) -> np.ndarray:
-    """Dense stiffness matrix after support elimination (free DOFs only)."""
+    """Dense stiffness matrix of one design after support elimination (free
+    DOFs only, ascending)."""
     kernel = model._kernel
     members = _design(model, assignment)[kernel.group]
     ke = kernel.element_stiffness(members[:, AREA], members[:, INERTIA])
     n = kernel.n_dof
     flat = kernel.dofs[:, :, None] * n + kernel.dofs[:, None, :]
     K = np.bincount(flat.ravel(), ke.ravel(), minlength=n * n).reshape(n, n)
-    return K[np.ix_(kernel.free, kernel.free)]
+    free = np.sort(kernel.free)
+    return K[np.ix_(free, free)]
 
 
 def analyze(model: FrameModel, assignment) -> AnalysisResult:
     """Solve K u = F for the frame under its nodal loads.
 
     ``assignment`` is one SectionShape or property row per member group,
-    or their (G, k) block.  Raises StructuralInstabilityError when the
-    constrained stiffness matrix is singular, naming the offending node/DOF.
+    their (G, k) block, or a (p, G, k) stack of p designs, whose results
+    carry a leading design axis.  Raises StructuralInstabilityError when a
+    constrained stiffness matrix is singular, naming the offending node/DOF
+    of the first such design in the stack.
     """
     kernel = model._kernel
-    members = _design(model, assignment)[kernel.group]
+    block = _design(model, assignment)
     if kernel.free.size == 0:
         raise ValueError("model has no free degrees of freedom")
-    area, inertia = members[:, AREA], members[:, INERTIA]
-    ke = kernel.element_stiffness(area, inertia)
-    band = np.bincount(kernel.band_dst, ke.ravel()[kernel.band_src],
-                       minlength=kernel.band_shape[0] * kernel.band_shape[1])
-
-    try:
-        cb = scipy.linalg.cholesky_banded(band.reshape(kernel.band_shape),
-                                          overwrite_ab=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        m = re.search(r"(\d+)-th leading minor", str(exc))
-        raise kernel.instability(int(m.group(1)) - 1 if m else 0) from None
-
-    # a mechanism can survive factorization with a roundoff-sized pivot;
-    # stable frames here sit many orders above this threshold
-    diag = np.abs(cb[-1])
-    rel_pivots = (diag / diag.max()) ** 2
-    weakest = int(np.argmin(rel_pivots))
-    if rel_pivots[weakest] < 1e-13:
-        raise kernel.instability(weakest)
-
-    F = kernel.loads
-    u = np.zeros(kernel.n_dof)
-    u[kernel.free] = scipy.linalg.cho_solve_banded((cb, False), F[kernel.free],
-                                                   check_finite=False)
-    u_members = u[kernel.dofs]
-
-    # K u summed from the element end forces, fixed DOFs included
-    end_forces = np.einsum("mij,mj->mi", ke, u_members)
-    residual = np.bincount(kernel.dofs.ravel(), end_forces.ravel(),
-                           minlength=kernel.n_dof) - F
-    # equilibrium guard: reactions must balance applied loads
-    applied = np.abs(F).sum()
-    for comp in (0, 1):
-        total = F[comp::3].sum() + residual[comp::3].sum()
-        if applied > 0 and abs(total) > 1e-8 * max(applied, 1.0):
+    lead = block.shape[:-2]
+    stack = block.reshape(-1, *block.shape[-2:])
+    area, inertia = stack[:, kernel.group, AREA], stack[:, kernel.group, INERTIA]
+    p, n_free, bw = len(stack), kernel.free.size, kernel.bandwidth
+    u, residual = np.zeros((2, p, kernel.n_dof))
+    forces = np.empty((p, kernel.group.size, len(_FORCE_ROWS)))
+    applied = np.abs(kernel.loads).sum()
+    # one design at a time, in stack order: its (m, 6, 6) element matrices
+    # are small enough to be reused memory, where a stack's would be fresh
+    # pages, and the first unstable design raises
+    for r in range(p):
+        ke = kernel.element_stiffness(area[r], inertia[r])
+        band = np.bincount(kernel.band_dst, ke.ravel()[kernel.band_src],
+                           minlength=n_free * (bw + 1))
+        cb, info = dpbtrf(band.reshape(n_free, bw + 1).T, overwrite_ab=1)
+        if info:  # the info-th leading minor is not positive definite
+            raise kernel.instability(info - 1)
+        # a mechanism can survive factorization with a roundoff-sized pivot;
+        # stable frames here sit many orders above this threshold
+        weakest = int(np.argmin(cb[-1]))
+        if (cb[-1, weakest] / cb[-1].max()) ** 2 < 1e-13:
             raise kernel.instability(weakest)
 
-    forces = np.einsum("mij,mj->mi", area[:, None, None] * kernel.forces_per_area
-                       + inertia[:, None, None] * kernel.forces_per_inertia, u_members)
+        u[r][kernel.free] = dpbtrs(cb, kernel.free_loads)[0]
+        u_members = u[r][kernel.dofs]
+        # K u summed from the element end forces, fixed DOFs included
+        residual[r] = np.bincount(kernel.dofs.ravel(),
+                                  np.einsum("mij,mj->mi", ke, u_members).ravel(),
+                                  minlength=kernel.n_dof)
+        # equilibrium guard: reactions balance the applied loads, so the x
+        # and y components of K u sum to zero
+        imbalance = max(abs(residual[r, 0::3].sum()), abs(residual[r, 1::3].sum()))
+        if applied > 0 and imbalance > 1e-8 * max(applied, 1.0):
+            raise kernel.instability(weakest)
+        forces[r] = np.einsum("mij,mj->mi",
+                              area[r, :, None, None] * kernel.forces_per_area
+                              + inertia[r, :, None, None] * kernel.forces_per_inertia,
+                              u_members)
 
     if kernel.missing_level is not None:
         raise ValueError(f"no nodes found at story level {kernel.missing_level}")
-    ux = u[0::3]
-    lateral = kernel.level_weights @ ux
-    drifts = np.abs(np.diff(np.concatenate(([0.0], lateral))))
+    ux = u[:, 0::3]
+    # one matrix-vector product per design: the same bits as a design alone
+    lateral = np.matmul(kernel.level_weights, ux[:, :, None])[..., 0]
+    drifts = lateral.copy()
+    drifts[:, 1:] -= lateral[:, :-1]
+
+    def unstack(a):
+        return a.reshape(lead + a.shape[1:])[()]
 
     return AnalysisResult(
-        displacements=u.reshape(-1, 3),
-        member_forces=forces,
-        reactions=residual[kernel.fixed],
-        max_lateral_displacement=float(np.abs(ux).max()),
-        story_drifts=drifts,
+        displacements=unstack(u.reshape(p, -1, 3)),
+        member_forces=unstack(forces),
+        reactions=unstack(residual[:, kernel.fixed] - kernel.loads[kernel.fixed]),
+        max_lateral_displacement=unstack(np.abs(ux).max(axis=1)),
+        story_drifts=unstack(np.abs(drifts)),
         story_heights=kernel.story_heights.copy(),
     )
 
 
 def member_max_stress(model: FrameModel, assignment, result: AnalysisResult) -> np.ndarray:
-    """Combined elastic stress per member: |N|/A + max|M|/Sx, kN/cm^2."""
-    members = _design(model, assignment)[model._kernel.group]
+    """Combined elastic stress per member: |N|/A + max|M|/Sx, kN/cm^2; one
+    row per design of a stack."""
+    members = _design(model, assignment)[..., model._kernel.group, :]
     f = result.member_forces
-    max_moment = np.maximum(np.abs(f[:, 2]), np.abs(f[:, 3]))
-    return np.abs(f[:, 0]) / members[:, AREA] + max_moment / members[:, SECTION_MODULUS]
+    max_moment = np.maximum(np.abs(f[..., 2]), np.abs(f[..., 3]))
+    return np.abs(f[..., 0]) / members[..., AREA] \
+        + max_moment / members[..., SECTION_MODULUS]
 
 
-def frame_weight(model: FrameModel, assignment) -> float:
-    """Total member weight: sum over groups of density * total length * area."""
-    # contiguous: BLAS may sum a strided vector in another order
-    areas = np.ascontiguousarray(_design(model, assignment)[:, AREA])
-    return float(model.density * np.dot(model._kernel.group_length, areas))
+def frame_weight(model: FrameModel, assignment):
+    """Total member weight: sum over groups of density * total length * area;
+    one weight per design of a stack."""
+    # contiguous: BLAS may sum a strided vector in another order; one dot
+    # product per design gives each the bits it gets alone
+    areas = np.ascontiguousarray(_design(model, assignment)[..., AREA])
+    group_length = model._kernel.group_length[:, None]
+    return model.density * np.matmul(areas[..., None, :], group_length)[..., 0, 0]

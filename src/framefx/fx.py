@@ -73,33 +73,38 @@ def alpha_max(value_min: float, value_max: float, h_u: float) -> float:
     return (value_max / value_min) ** (1.0 / h_u)
 
 
-def expand_continuous(base_value: float, alpha: float, heights) -> np.ndarray:
+def expand_continuous(base_value, alpha, heights) -> np.ndarray:
     """Pure exponential profile: value[k] = base_value / alpha**heights[k].
 
-    No clamping is applied here; callers that must stay inside a variable
-    box (the reduced-problem evaluation path) clamp afterwards.
+    Arrays of base values and alphas give one profile per row.  No clamping
+    is applied here; callers that must stay inside a variable box (the
+    reduced-problem evaluation path) clamp afterwards.
     """
-    if base_value <= 0:
+    base_value, alpha = np.asarray(base_value), np.asarray(alpha)
+    if np.any(base_value <= 0):
         raise ValueError(f"base_value must be positive, got {base_value}")
-    if alpha < 1.0:
+    if np.any(alpha < 1.0):
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    return base_value / np.power(alpha, np.asarray(heights, dtype=float))
+    return base_value[..., None] / np.power(alpha[..., None],
+                                            np.asarray(heights, dtype=float))
 
 
-def expand_discrete(base_index: int, alpha: float, heights, pool: SectionPool) -> np.ndarray:
+def expand_discrete(base_index, alpha, heights, pool: SectionPool) -> np.ndarray:
     """Snap the exponential area profile onto the catalog, never increasing.
 
     Each target area above the base, base area / alpha**h, is snapped to its
     nearest catalog shape in one lookup; a running minimum over the base
     index and the snapped indices then keeps every index at or below the
     one under it.  The pool is sorted by area, so the areas are
-    non-increasing with height by construction.
+    non-increasing with height by construction.  Arrays give one stack per row.
     """
-    if not 0 <= base_index < len(pool):
+    base_index = np.asarray(base_index)
+    if np.any((base_index < 0) | (base_index >= len(pool))):
         raise IndexError(f"base_index {base_index} out of range for pool of {len(pool)}")
     targets = expand_continuous(pool.areas[base_index], alpha, heights)
-    snapped = pool_index_of_nearest_area(pool, targets[1:])
-    return np.minimum.accumulate(np.r_[base_index, snapped])
+    snapped = pool_index_of_nearest_area(pool, targets[..., 1:])
+    return np.minimum.accumulate(
+        np.concatenate((base_index[..., None], snapped), axis=-1), axis=-1)
 
 
 def validate_rules(rules, n: int):

@@ -110,20 +110,14 @@ def initialize_population(problem: Problem, config: OptimizerConfig,
     rng = rng if rng is not None else _rng_streams(config.rng_seed)[0]
     pop = config.population_size
 
-    if strategy == "none":
-        if problem.is_reduced:
-            raise ValueError("strategy 'none' expects the full-space problem")
-        return _uniform(rng, problem.lower, problem.upper, pop)
-    if strategy == "fx":
-        if not problem.is_reduced:
-            raise ValueError("strategy 'fx' needs a reduced problem "
-                             "(attach functioning rules first)")
-        return _uniform(rng, problem.lower, problem.upper, pop)
-    if problem.is_reduced:
-        raise ValueError("strategy 'ifx' expects the full-space problem")
-    reduced = attach_fx(problem)
-    samples = _uniform(rng, reduced.lower, reduced.upper, pop)
-    return np.array([reduced.expand_full(s) for s in samples])
+    if (strategy == "fx") != problem.is_reduced:
+        raise ValueError(f"strategy {strategy!r} expects the " + (
+            "reduced problem (attach functioning rules first)" if strategy == "fx"
+            else "full-space problem"))
+    if strategy == "ifx":
+        reduced = attach_fx(problem)
+        return reduced.expand_full(_uniform(rng, reduced.lower, reduced.upper, pop))
+    return _uniform(rng, problem.lower, problem.upper, pop)
 
 
 def reflect_at_bounds(positions, velocities, lower, upper):
@@ -164,12 +158,12 @@ class _RunState:
         self.best_feasible = None   # (x, f, g) of the best feasible design
 
     def evaluate(self, X):
-        """Evaluate one generation and fold its violations into GMax.
-        Returns (f, g)."""
-        evals = [self.problem.evaluate(x) for x in X]
-        self.fe_used += len(evals)
-        f = np.array([ev.objective for ev in evals], dtype=float)
-        g = np.array([ev.violations for ev in evals], dtype=float)
+        """Evaluate one generation in one call and fold its violations into
+        GMax.  Returns (f, g)."""
+        ev = self.problem.evaluate(X)
+        self.fe_used += len(X)
+        f = np.asarray(ev.objective, dtype=float)
+        g = ev.violations
         finite = np.isfinite(f) & np.isfinite(g).all(axis=1)
         if not finite.all():
             raise ValueError(f"non-finite objective or violation at design "

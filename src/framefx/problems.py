@@ -5,12 +5,14 @@ sections (closed-form physics, the verification workhorse) and
 config-driven steel frames (finite-element analysis with catalog
 sections).  Index-coded variables are searched as continuous values and
 rounded to the nearest catalog index only at evaluation time.
+``Problem.evaluate`` scores one design (n,) or a generation (p, n) in one
+call, each design with the same bits in any generation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,25 +68,26 @@ class Problem:
     name: str
     domains: tuple
     n_constraints: int
-    evaluate: object              # callable(np.ndarray) -> Evaluation
+    evaluate: object              # callable((n,) or (p, n) array) -> Evaluation
     decode: object                # callable(np.ndarray) -> dict
     rules: tuple = ()             # declared functioning rules (may be unused)
     probe: Probe | None = None
     frame: object = None          # FrameContext for frame problems
     base_problem: "Problem | None" = None
-    expand_full: object = None    # reduced -> full raw vector (reduced problems)
+    expand_full: object = None    # reduced -> full raw vectors (reduced problems)
+    # read-only bounds of the domains
+    lower: np.ndarray = field(init=False, repr=False, compare=False)
+    upper: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for bound in ("lower", "upper"):
+            values = np.array([getattr(d, bound) for d in self.domains], dtype=float)
+            values.flags.writeable = False
+            setattr(self, bound, values)
 
     @property
     def dimension(self) -> int:
         return len(self.domains)
-
-    @property
-    def lower(self) -> np.ndarray:
-        return np.array([d.lower for d in self.domains])
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.array([d.upper for d in self.domains])
 
     @property
     def is_reduced(self) -> bool:
@@ -141,7 +144,7 @@ def stepped_column_problem(spec: SteppedColumnSpec | None = None) -> Problem:
 
     def evaluate(x) -> Evaluation:
         r = np.asarray(x, dtype=float)
-        weight = rho_l_pi * float(np.dot(r, r))
+        weight = rho_l_pi * _row_dot(r, r)
         sigma = 4.0 * moments / (math.pi * r**3)
         return Evaluation(objective=weight, violations=sigma - spec.allowable_stress)
 
@@ -163,6 +166,12 @@ def stepped_column_problem(spec: SteppedColumnSpec | None = None) -> Problem:
         rules=rules,
         probe=_stepped_column_probe(spec),
     )
+
+
+def _row_dot(a, b):
+    """Dot product of each row of ``a`` and ``b``: one BLAS dot per row, so a
+    row gets the same bits in any generation."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _stepped_column_probe(spec: SteppedColumnSpec) -> Probe:
@@ -317,18 +326,19 @@ def attach_fx(problem: Problem) -> Problem:
 
     def expand(xr):
         xr = np.asarray(xr, dtype=float)
-        full = np.empty(n)
+        full = np.empty(xr.shape[:-1] + (n,))
         for ids, heights, dom, k in compiled:
-            alpha = max(float(xr[k + 1]), 1.0)
+            alpha = np.maximum(xr[..., k + 1], 1.0)
             if dom.kind == "index":
                 # np.rint rounds half-way values to even, as frame_problem does
-                base_index = int(np.clip(np.rint(xr[k]), dom.lower, dom.upper))
-                full[ids] = expand_discrete(base_index, alpha, heights, dom.pool)
+                base_index = np.clip(np.rint(xr[..., k]), dom.lower, dom.upper)
+                full[..., ids] = expand_discrete(base_index.astype(np.intp), alpha,
+                                                 heights, dom.pool)
             else:
-                base_value = min(max(float(xr[k]), dom.lower), dom.upper)
+                base_value = np.clip(xr[..., k], dom.lower, dom.upper)
                 values = expand_continuous(base_value, alpha, heights)
-                full[ids] = np.clip(values, dom.lower, dom.upper)
-        full[untouched] = xr[n_params:]
+                full[..., ids] = np.clip(values, dom.lower, dom.upper)
+        full[..., untouched] = xr[..., n_params:]
         return full
 
     def evaluate(xr) -> Evaluation:
@@ -361,7 +371,8 @@ def sphere_problem(dimension=5, lower=-5.0, upper=5.0) -> Problem:
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        return Evaluation(objective=float(np.dot(x, x)), violations=np.zeros(0))
+        return Evaluation(objective=_row_dot(x, x),
+                          violations=np.zeros(x.shape[:-1] + (0,)))
 
     lo = np.full(dimension, lower)
     hi = np.full(dimension, upper)

@@ -8,6 +8,7 @@ already be converted (the bundled ones are).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -170,8 +171,10 @@ def load_section_table(source, label="") -> SectionPool:
     return SectionPool(shapes, label=label)
 
 
+@functools.cache
 def load_bundled_pool(name: str) -> SectionPool:
-    """Load one of the catalogs shipped with the package ('w-all' or 'w14')."""
+    """Load one of the catalogs shipped with the package ('w-all' or 'w14');
+    each is parsed once per process and shared, as pools are immutable."""
     try:
         filename = BUNDLED_POOLS[name]
     except KeyError:
@@ -244,12 +247,13 @@ def property_block(assignment) -> np.ndarray:
     column order.
 
     ``assignment`` holds one SectionShape or one property row per group; a
-    (G, k) array is returned as it is.
+    (G, k) block, or a (p, G, k) stack of p designs' blocks, is returned as
+    it is.
     """
     if not isinstance(assignment, np.ndarray):
         assignment = np.array([s.row if isinstance(s, SectionShape) else s
                                for s in assignment], dtype=float)
-    if assignment.shape[1:] != (len(PROPERTIES),):
+    if assignment.ndim not in (2, 3) or assignment.shape[-1] != len(PROPERTIES):
         raise ValueError(f"expected one row of {len(PROPERTIES)} section properties "
                          f"per group, got an array of shape {assignment.shape}")
     return assignment

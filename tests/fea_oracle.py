@@ -1,5 +1,6 @@
 """Reference implementations kept as oracles for the array kernel in ``fea``,
-the vectorized checks in ``evaluate`` and the section-property blocks.
+the vectorized checks in ``evaluate``, the section-property blocks and the
+generation-wide evaluation in ``problems``.
 
 These are the original per-member loops: element stiffness built and
 rotated one member at a time, scattered into a dense global matrix, solved
@@ -7,8 +8,10 @@ with a dense Cholesky factorization, and constraints evaluated member by
 member; and the original per-group section path: one named SectionShape
 per group, indices rounded with round(), member properties read with
 getattr; and the original functioned column stack, searched one height at a
-time for the nearest area capped at the pick below.  They are slow and
-plain on purpose; tests compare the fast paths against them.
+time for the nearest area capped at the pick below; and the original
+per-design scoring, one design per call through scipy's banded Cholesky
+wrappers and NumPy products on that design alone.  They are slow and plain
+on purpose; tests compare the fast paths against them.
 """
 
 import math
@@ -18,8 +21,12 @@ import numpy as np
 import scipy.linalg
 
 from framefx.evaluate import COLUMN_ELASTIC_COEF, PHI_BENDING, PHI_COMPRESSION, \
-    PHI_TENSION
-from framefx.sections import SectionShape
+    PHI_TENSION, column_critical_stress as array_critical_stress, \
+    effective_length_factor_sway as array_sway_factor, \
+    lrfd_interaction_value as array_interaction_value
+from framefx.fea import AnalysisResult
+from framefx.sections import AREA, INERTIA, PLASTIC_MODULUS, RADIUS_X, RADIUS_Y, \
+    SECTION_MODULUS, SectionShape
 
 
 def local_stiffness(E, A, I, L):
@@ -281,3 +288,129 @@ def expand_discrete(base_index, alpha, heights, pool):
     for target in targets[1:]:
         indices.append(capped_nearest_area(pool, float(target), pool[indices[-1]].area))
     return np.array(indices)
+
+
+# -- per-design scoring: what Problem.evaluate computed one design at a time --
+
+def banded_analyze(model, block):
+    """``fea.analyze`` of one (G, k) block as it was before designs were
+    stacked: scipy's cholesky_banded and cho_solve_banded, and NumPy
+    products on this design alone.  Reactions are left out."""
+    kernel = model._kernel
+    members = block[kernel.group]
+    area, inertia = members[:, AREA], members[:, INERTIA]
+    ke = area[:, None, None] * kernel.stiffness_per_area \
+        + inertia[:, None, None] * kernel.stiffness_per_inertia
+    n_free, bw = kernel.free.size, kernel.bandwidth
+    band = np.bincount(kernel.band_dst, ke.ravel()[kernel.band_src],
+                       minlength=n_free * (bw + 1)).reshape(n_free, bw + 1).T
+    cb = scipy.linalg.cholesky_banded(band, check_finite=False)
+    u = np.zeros(kernel.n_dof)
+    u[kernel.free] = scipy.linalg.cho_solve_banded((cb, False), kernel.loads[kernel.free],
+                                                   check_finite=False)
+    forces = np.einsum("mij,mj->mi", area[:, None, None] * kernel.forces_per_area
+                       + inertia[:, None, None] * kernel.forces_per_inertia,
+                       u[kernel.dofs])
+    ux = u[0::3]
+    lateral = kernel.level_weights @ ux
+    return AnalysisResult(
+        displacements=u.reshape(-1, 3), member_forces=forces, reactions=None,
+        max_lateral_displacement=float(np.abs(ux).max()),
+        story_drifts=np.abs(np.diff(np.concatenate(([0.0], lateral)))),
+        story_heights=kernel.story_heights.copy())
+
+
+def block_constraint_values(model, block, result, cs):
+    """``evaluate.constraint_values`` of one (G, k) block as it was before
+    designs were stacked."""
+    kernel = model._kernel
+    members = block[kernel.group]
+    forces = result.member_forces
+    max_moment = np.maximum(np.abs(forces[:, 2]), np.abs(forces[:, 3]))
+    parts = []
+    if "stress" in cs.families:
+        sigma = np.abs(forces[:, 0]) / members[:, AREA] \
+            + max_moment / members[:, SECTION_MODULUS]
+        parts.append(np.abs(sigma / cs.stress_allowable) - 1.0)
+    if "lateral_drift" in cs.families:
+        if cs.roof_drift_limit_abs is not None:
+            g = result.max_lateral_displacement - cs.roof_drift_limit_abs
+        else:
+            g = result.max_lateral_displacement / model.height - cs.drift_index_R
+        parts.append(np.array([g]))
+    if "interstory_drift" in cs.families:
+        parts.append(result.story_drifts / result.story_heights - cs.interstory_index_RI)
+    if "lrfd_interaction" in cs.families:
+        E, fy = model.elastic_modulus, model.yield_stress
+        area, axial = members[:, AREA], forces[:, 0]
+        moment_ratio = max_moment / (PHI_BENDING * (members[:, PLASTIC_MODULUS] * fy))
+        if cs.k_mode == "fixed":
+            k_factors = kernel.k_factor
+        else:
+            stiff = np.repeat(members[:, INERTIA] / kernel.length, 2)
+            column_end = np.repeat(kernel.is_column, 2)
+            n = kernel.supported.size
+            col = np.bincount(kernel.ends.ravel(), np.where(column_end, stiff, 0.0),
+                              minlength=n)
+            beam = np.bincount(kernel.ends.ravel(), np.where(column_end, 0.0, stiff),
+                               minlength=n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                joint = np.where(beam > 0, col / beam, 10.0)
+            ratios = np.where(kernel.rot_fixed, 1.0,
+                              np.where(kernel.supported, 10.0, joint))
+            a, b = kernel.ends.T
+            k_factors = np.where(kernel.is_column,
+                                 array_sway_factor(ratios[a], ratios[b]), 1.0)
+        min_radius = np.minimum(members[:, RADIUS_X], members[:, RADIUS_Y])
+        lambda_c = (k_factors * kernel.length) / (min_radius * math.pi) \
+            * math.sqrt(fy / E)
+        p_n = area * array_critical_stress(lambda_c, fy)
+        axial_ratio = np.where(axial < 0, -axial / (PHI_COMPRESSION * p_n),
+                               axial / (PHI_TENSION * area * fy))
+        parts.append(np.where(kernel.is_column,
+                              array_interaction_value(axial_ratio, moment_ratio),
+                              moment_ratio - 1.0))
+    return np.concatenate(parts)
+
+
+def frame_score(problem, x):
+    """(weight, violations) of one full-space frame design."""
+    frame = problem.frame
+    upper = [len(pool) - 1 for pool in frame.pools]
+    idx = np.clip(np.rint(x), 0, upper).astype(np.intp)
+    block = np.array([pool.properties[i] for pool, i in zip(frame.pools, idx)])
+    result = banded_analyze(frame.model, block)
+    areas = np.ascontiguousarray(block[:, AREA])
+    weight = float(frame.model.density * np.dot(frame.model._kernel.group_length, areas))
+    return weight, block_constraint_values(frame.model, block, result,
+                                           frame.constraint_set)
+
+
+def column_score(spec, x):
+    """(weight, violations) of one stepped-column design."""
+    r = np.asarray(x, dtype=float)
+    weight = spec.density * spec.segment_length * math.pi * float(np.dot(r, r))
+    sigma = 4.0 * spec.moments / (math.pi * r**3)
+    return weight, sigma - spec.allowable_stress
+
+
+def fx_expand(reduced, xr):
+    """The full-space vector of one reduced design, one rule at a time and,
+    for a catalog stack, one height at a time."""
+    base = reduced.base_problem
+    full = np.empty(base.dimension)
+    replaced = []
+    for k, rule in zip(range(0, 2 * len(base.rules), 2), base.rules):
+        ids = list(rule.replaced_variable_ids)
+        dom = base.domains[ids[0]]
+        alpha = max(float(xr[k + 1]), 1.0)
+        if dom.kind == "index":
+            index = int(np.clip(np.rint(xr[k]), dom.lower, dom.upper))
+            full[ids] = expand_discrete(index, alpha, rule.heights, dom.pool)
+        else:
+            value = min(max(float(xr[k]), dom.lower), dom.upper)
+            profile = value / np.power(alpha, np.asarray(rule.heights, dtype=float))
+            full[ids] = np.clip(profile, dom.lower, dom.upper)
+        replaced += ids
+    full[np.setdiff1d(np.arange(base.dimension), replaced)] = xr[2 * len(base.rules):]
+    return full

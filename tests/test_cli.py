@@ -91,7 +91,8 @@ class TestRun:
 
         def nan_sphere(dimension=5):
             problem = real_sphere(dimension=dimension)
-            problem.evaluate = lambda x: Evaluation(objective=np.nan, violations=[])
+            problem.evaluate = lambda X: Evaluation(objective=np.full(len(X), np.nan),
+                                                    violations=np.zeros((len(X), 0)))
             return problem
 
         monkeypatch.setattr(harness, "sphere_problem", nan_sphere)
@@ -118,6 +119,21 @@ class TestRun:
                                   .read_text())
                 assert not none["failed"]
         assert (plan_dir / "summary.csv").exists()
+
+    def test_table_counts_completed_and_failed_trials(self, tmp_path, capsys):
+        # the sphere declares no functioning rules, so its ifx and fx cells
+        # fail every trial; the table says so per cell
+        code = run_cli("run", "--problem", "sphere", "--algo", "pso", "--trials", "2",
+                       "--pop", "6", "--max-fe", "24", "--jobs", "1",
+                       "--out", str(tmp_path))
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("cell"))
+        assert header.split()[:4] == ["cell", "completed", "failed", "median"]
+        rows = {line.split()[0]: line.split()[1:3] for line in lines
+                if line.startswith("pso-")}
+        assert rows == {"pso-none": ["2", "0"], "pso-ifx": ["0", "2"],
+                        "pso-fx": ["0", "2"]}
 
     def test_seed_in_help(self, capsys):
         parser = build_parser()

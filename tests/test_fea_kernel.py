@@ -117,20 +117,10 @@ class TestKernelAgainstDenseOracle:
         assert_close(K, oracle.constrained_stiffness(model, assignment))
 
     def test_node_shuffled_bundled_frame(self):
-        # a random renumbering widens the band from 14 to most of the matrix;
         # the solution, carried through the permutation, must not change
         problem = frame_problem("frame-24story-3bay")
         model, pools = problem.frame.model, problem.frame.pools
-        perm = np.random.default_rng(7).permutation(len(model.nodes))
-        new_id = np.argsort(perm)  # old node -> new node
-        shuffled = dataclasses.replace(
-            model,
-            nodes=tuple(model.nodes[i] for i in perm),
-            members=tuple((int(new_id[a]), int(new_id[b]), g) for a, b, g in model.members),
-            supports=tuple((int(new_id[n]), d) for n, d in model.supports),
-            loads=tuple((int(new_id[n]), *f) for n, *f in model.loads),
-        )
-        assert shuffled._kernel.bandwidth > 10 * model._kernel.bandwidth
+        shuffled, perm = _node_shuffled(model)
         assignment = tuple(pool[len(pool) // 2] for pool in pools)
         res = analyze(model, assignment)
         res_shuffled = analyze(shuffled, assignment)
@@ -140,6 +130,34 @@ class TestKernelAgainstDenseOracle:
         cs = problem.frame.constraint_set
         assert_close(constraint_values(shuffled, assignment, res_shuffled, cs),
                      constraint_values(model, assignment, res, cs))
+
+    def test_node_shuffled_frame_keeps_the_narrow_band(self):
+        # numbered as shuffled, the band is 281 wide; node (y, x) order
+        # restores the bundled numbering's 14, and the bundled frame keeps
+        # its own numbering
+        model = frame_problem("frame-24story-3bay").frame.model
+        shuffled, _ = _node_shuffled(model)
+        assert shuffled._kernel._bandwidth(np.sort(shuffled._kernel.free)) == 281
+        assert model._kernel.bandwidth == 14
+        np.testing.assert_array_equal(
+            model._kernel.free,
+            np.setdiff1d(np.arange(3 * len(model.nodes)), model.constrained_dofs()))
+        assert shuffled._kernel.bandwidth == 14
+
+
+def _node_shuffled(model):
+    """``model`` with its nodes renumbered by a fixed random permutation, and
+    that permutation (new node -> old node)."""
+    perm = np.random.default_rng(7).permutation(len(model.nodes))
+    new_id = np.argsort(perm)  # old node -> new node
+    shuffled = dataclasses.replace(
+        model,
+        nodes=tuple(model.nodes[i] for i in perm),
+        members=tuple((int(new_id[a]), int(new_id[b]), g) for a, b, g in model.members),
+        supports=tuple((int(new_id[n]), d) for n, d in model.supports),
+        loads=tuple((int(new_id[n]), *f) for n, *f in model.loads),
+    )
+    return shuffled, perm
 
 
 class TestDiagnostics:

@@ -234,11 +234,13 @@ class TestNonFiniteGuard:
     def test_raises_naming_the_design(self, algorithm, bad):
         base = sphere_problem(dimension=3)
 
-        def evaluate(x):
-            objective, g = base.evaluate(x).objective, -1.0
-            if x[0] > 0.0:
-                objective, g = (np.nan, g) if bad == "objective" else (objective, np.inf)
-            return Evaluation(objective=objective, violations=[g])
+        def evaluate(X):
+            objective, g = base.evaluate(X).objective, np.full((len(X), 1), -1.0)
+            if bad == "objective":
+                objective = np.where(X[:, 0] > 0.0, np.nan, objective)
+            else:
+                g[X[:, 0] > 0.0] = np.inf
+            return Evaluation(objective=objective, violations=g)
 
         problem = dataclasses.replace(base, evaluate=evaluate, n_constraints=1)
         with pytest.raises(ValueError, match="non-finite objective or violation") as info:
@@ -275,10 +277,10 @@ def _tiny_index_problem():
 
     pool = SectionPool([circular_properties(r) for r in (2.0, 3.0, 4.0, 5.0)])
 
-    def evaluate(x):
-        idx = [min(max(round(float(v)), 0), 3) for v in x]
-        return Evaluation(objective=float(sum(pool[i].area for i in idx)),
-                          violations=np.zeros(0))
+    def evaluate(X):
+        idx = np.clip(np.rint(X), 0, 3).astype(int)
+        return Evaluation(objective=pool.areas[idx].sum(axis=-1),
+                          violations=np.zeros(X.shape[:-1] + (0,)))
 
     def decode(x):
         return {"indices": [min(max(round(float(v)), 0), 3) for v in x]}
