@@ -15,8 +15,8 @@ import math
 from importlib import resources
 from pathlib import Path
 
-from .evaluate import VALID_FAMILIES, ConstraintSet
-from .fea import DOF_NAMES, LEVEL_TOL, FrameModel
+from .evaluate import ConstraintSet
+from .fea import FrameModel
 from .fx import STRATEGIES, FunctioningRule
 from .sections import BUNDLED_POOLS, load_pool
 
@@ -49,6 +49,10 @@ def _is_number(value) -> bool:
 
 
 def _check(doc):
+    """What only the JSON shows: its shape, types and finite numbers, pool
+    labels, how functioning rules bind to groups, and the optimizer block.
+    The frame model, the constraint set and each functioning rule check the
+    rest when ``build_frame`` constructs them."""
     errs = []
 
     def need(key, types, where=doc, prefix=""):
@@ -72,135 +76,84 @@ def _check(doc):
             if v is not None and not (_is_number(v) and v > 0):
                 errs.append(f"material.{key}: expected a positive number, got {v!r}")
 
-    nodes = need("nodes", list)
-    n_nodes = len(nodes) if nodes else 0
-    coords = {}  # node index -> (x, y) of each well-formed node
-    if nodes is not None:
-        for i, nd in enumerate(nodes):
-            if not (isinstance(nd, list) and len(nd) == 2
-                    and all(_is_number(c) for c in nd)):
-                errs.append(f"nodes[{i}]: expected [x, y]")
-            else:
-                coords[i] = tuple(nd)
+    for i, nd in enumerate(need("nodes", list) or ()):
+        if not (isinstance(nd, list) and len(nd) == 2
+                and all(_is_number(c) for c in nd)):
+            errs.append(f"nodes[{i}]: expected [x, y]")
 
-    groups = need("groups", list)
-    n_groups = len(groups) if groups else 0
-    if groups is not None:
-        for i, g in enumerate(groups):
-            if not isinstance(g, dict):
-                errs.append(f"groups[{i}]: expected object")
-                continue
-            role = g.get("role")
-            if role not in ("beam", "column"):
-                errs.append(f"groups[{i}].role: expected beam|column, got {role!r}")
-            pool = g.get("pool")
-            if not isinstance(pool, str):
-                errs.append(f"groups[{i}].pool: expected pool label string")
-            elif pool not in BUNDLED_POOLS and not Path(pool).suffix == ".csv":
-                errs.append(f"groups[{i}].pool: unknown pool {pool!r} "
-                            f"(bundled: {sorted(BUNDLED_POOLS)}, or a .csv path)")
-            k = g.get("k_factor", 1.0)
-            if not (_is_number(k) and k > 0):
-                errs.append(f"groups[{i}].k_factor: expected a positive number, "
-                            f"got {k!r}")
+    groups = need("groups", list) or []
+    for i, g in enumerate(groups):
+        if not isinstance(g, dict):
+            errs.append(f"groups[{i}]: expected object")
+            continue
+        pool = g.get("pool")
+        if not isinstance(pool, str):
+            errs.append(f"groups[{i}].pool: expected pool label string")
+        elif pool not in BUNDLED_POOLS and not Path(pool).suffix == ".csv":
+            errs.append(f"groups[{i}].pool: unknown pool {pool!r} "
+                        f"(bundled: {sorted(BUNDLED_POOLS)}, or a .csv path)")
+        k = g.get("k_factor", 1.0)
+        if not _is_number(k):
+            errs.append(f"groups[{i}].k_factor: expected a number, got {k!r}")
 
-    members = need("members", list)
-    if members is not None:
-        for i, m in enumerate(members):
-            if not (isinstance(m, list) and len(m) == 3
-                    and all(isinstance(c, int) for c in m)):
-                errs.append(f"members[{i}]: expected [node_a, node_b, group_id]")
-                continue
-            a, b, g = m
-            if not (0 <= a < n_nodes and 0 <= b < n_nodes) or a == b:
-                errs.append(f"members[{i}]: node indices ({a}, {b}) invalid")
-            elif a in coords and coords[a] == coords.get(b):
-                errs.append(f"members[{i}]: zero length (nodes {a} and {b} coincide)")
-            if not 0 <= g < n_groups:
-                errs.append(f"members[{i}]: group id {g} out of range")
+    for i, m in enumerate(need("members", list) or ()):
+        if not (isinstance(m, list) and len(m) == 3
+                and all(isinstance(c, int) for c in m)):
+            errs.append(f"members[{i}]: expected [node_a, node_b, group_id]")
 
-    supports = need("supports", list)
-    if supports is not None:
-        if not supports:
-            errs.append("supports: at least one support required")
-        for i, s in enumerate(supports):
-            if not isinstance(s, dict) or "node" not in s or "fix" not in s:
-                errs.append(f"supports[{i}]: expected {{node, fix}}")
-                continue
-            if not (isinstance(s["node"], int) and 0 <= s["node"] < n_nodes):
-                errs.append(f"supports[{i}].node: invalid index {s['node']!r}")
-            if not (isinstance(s["fix"], list)
-                    and all(d in DOF_NAMES for d in s["fix"])):
-                errs.append(f"supports[{i}].fix: expected subset of {DOF_NAMES}")
+    for i, s in enumerate(need("supports", list) or ()):
+        if not (isinstance(s, dict) and isinstance(s.get("node"), int)
+                and isinstance(s.get("fix"), list)):
+            errs.append(f"supports[{i}]: expected {{node, fix}}")
 
-    loads = need("loads", list)
-    if loads is not None:
-        for i, ld in enumerate(loads):
-            if not isinstance(ld, dict) or "node" not in ld:
-                errs.append(f"loads[{i}]: expected {{node, fx, fy, m}}")
-                continue
-            if not (isinstance(ld["node"], int) and 0 <= ld["node"] < n_nodes):
-                errs.append(f"loads[{i}].node: invalid index {ld['node']!r}")
-            for key in ("fx", "fy", "m"):
-                if key in ld and not _is_number(ld[key]):
-                    errs.append(f"loads[{i}].{key}: expected a number, got {ld[key]!r}")
+    for i, ld in enumerate(need("loads", list) or ()):
+        if not (isinstance(ld, dict) and isinstance(ld.get("node"), int)):
+            errs.append(f"loads[{i}]: expected {{node, fx, fy, m}}")
+            continue
+        for key in ("fx", "fy", "m"):
+            if key in ld and not _is_number(ld[key]):
+                errs.append(f"loads[{i}].{key}: expected a number, got {ld[key]!r}")
 
-    levels = need("story_levels", list)
-    not_numbers = [j for j, level in enumerate(levels or ()) if not _is_number(level)]
-    errs += [f"story_levels[{j}]: expected a number, got {levels[j]!r}"
-             for j in not_numbers]
-    if levels and not not_numbers:
-        if levels[0] <= 0 or any(b <= a for a, b in zip(levels, levels[1:])):
-            errs.append("story_levels: must be positive and strictly ascending")
-        for j, level in enumerate(levels):
-            if not any(abs(y - level) < LEVEL_TOL for _, y in coords.values()):
-                errs.append(f"story_levels[{j}]: no node at height {level}")
+    errs += [f"story_levels[{j}]: expected a number, got {level!r}"
+             for j, level in enumerate(need("story_levels", list) or ())
+             if not _is_number(level)]
 
     cons = need("constraints", dict)
     if cons is not None:
         fams = cons.get("families")
-        if not (isinstance(fams, list) and fams
-                and all(f in VALID_FAMILIES for f in fams)):
-            errs.append(f"constraints.families: expected non-empty subset of "
-                        f"{VALID_FAMILIES}")
-        if cons.get("k_mode", "fixed") not in ("fixed", "sway"):
-            errs.append(f"constraints.k_mode: expected fixed|sway")
+        if not (isinstance(fams, list) and all(isinstance(f, str) for f in fams)):
+            errs.append("constraints.families: expected a list of family names")
         for key in ("stress_allowable", "drift_index", "interstory_index",
                     "roof_drift_limit_abs"):
-            if cons.get(key) is not None and not _is_number(cons[key]):
+            if key in cons and not _is_number(cons[key]):
                 errs.append(f"constraints.{key}: expected a number, got {cons[key]!r}")
 
     rules = doc.get("functioning", [])
     if not isinstance(rules, list):
         errs.append("functioning: expected list")
         rules = []
-    seen = {}
+    owner = {}  # group id -> the rule that functions it
     for i, rule in enumerate(rules):
         if not isinstance(rule, dict):
             errs.append(f"functioning[{i}]: expected object")
             continue
         gids = rule.get("group_ids")
         hts = rule.get("heights_cm")
+        if not (isinstance(hts, list) and all(_is_number(h) for h in hts)):
+            errs.append(f"functioning[{i}].heights_cm: expected a list of numbers")
         if not (isinstance(gids, list) and all(isinstance(g, int) for g in gids)):
             errs.append(f"functioning[{i}].group_ids: expected list of group ids")
             continue
-        if not (isinstance(hts, list) and len(hts) == len(gids)
-                and all(_is_number(h) for h in hts)):
-            errs.append(f"functioning[{i}].heights_cm: expected one height (a number) "
-                        f"per group")
-            continue
-        for g in gids:
-            if not 0 <= g < n_groups:
+        for g in dict.fromkeys(gids):  # a repeat within a rule is the rule's own
+            if not 0 <= g < len(groups):
                 errs.append(f"functioning[{i}].group_ids: group {g} out of range")
-            elif g in seen:
+            elif g in owner:
                 errs.append(f"functioning[{i}]: group {g} already functioned by "
-                            f"rule {seen[g]} (rules must be disjoint)")
+                            f"rule {owner[g]} (rules must be disjoint)")
             else:
-                seen[g] = i
-        if hts and (hts[0] != 0 or any(b <= a for a, b in zip(hts, hts[1:]))):
-            errs.append(f"functioning[{i}].heights_cm: must start at 0 and ascend")
+                owner[g] = i
         pools = {groups[g].get("pool") for g in gids
-                 if isinstance(g, int) and 0 <= g < n_groups} if groups else set()
+                 if 0 <= g < len(groups) and isinstance(groups[g], dict)}
         if len(pools) > 1:
             errs.append(f"functioning[{i}]: all functioned groups must share one "
                         f"pool, got {sorted(pools)}")
@@ -226,7 +179,8 @@ def _check(doc):
 
 
 def load_frame_config(source) -> dict:
-    """Load and validate a config from a path, bundled name, or dict."""
+    """Load a config from a path, bundled name, or dict and check its JSON;
+    ``build_frame`` checks the rest."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -249,8 +203,9 @@ def load_frame_config(source) -> dict:
 
 
 def build_frame(doc):
-    """Turn a validated config into (FrameModel, per-group pools,
-    ConstraintSet, functioning rules, strategy defaults)."""
+    """Turn a loaded config into (FrameModel, per-group pools, ConstraintSet,
+    functioning rules, strategy defaults); raises ConfigError listing what
+    the model, the constraint set and each functioning rule reject."""
     mat = doc["material"]
     groups = doc["groups"]
     pool_cache = {}
@@ -261,14 +216,23 @@ def build_frame(doc):
             pool_cache[label] = load_pool(label)
         pools.append(pool_cache[label])
 
-    model = FrameModel(
+    errs = []
+
+    def construct(prefix, cls, **fields):
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            errs.extend(prefix + line for line in str(exc).splitlines())
+
+    model = construct(
+        "", FrameModel,
         nodes=tuple((float(x), float(y)) for x, y in doc["nodes"]),
         members=tuple((a, b, g) for a, b, g in doc["members"]),
         supports=tuple((s["node"], tuple(s["fix"])) for s in doc["supports"]),
         loads=tuple((ld["node"], float(ld.get("fx", 0.0)), float(ld.get("fy", 0.0)),
                      float(ld.get("m", 0.0))) for ld in doc["loads"]),
-        group_roles=tuple(g["role"] for g in groups),
-        story_levels=tuple(float(v) for v in doc.get("story_levels", [])),
+        group_roles=tuple(g.get("role") for g in groups),
+        story_levels=tuple(float(v) for v in doc["story_levels"]),
         elastic_modulus=float(mat["elastic_modulus"]),
         yield_stress=float(mat["yield_stress"]),
         density=float(mat["density"]),
@@ -277,7 +241,8 @@ def build_frame(doc):
     )
 
     cons = doc["constraints"]
-    cs = ConstraintSet(
+    cs = construct(
+        "constraints: ", ConstraintSet,
         families=frozenset(cons["families"]),
         stress_allowable=cons.get("stress_allowable"),
         drift_index_R=cons.get("drift_index"),
@@ -287,10 +252,13 @@ def build_frame(doc):
     )
 
     rules = tuple(
-        FunctioningRule(replaced_variable_ids=tuple(r["group_ids"]),
-                        heights=tuple(float(h) for h in r["heights_cm"]))
-        for r in doc.get("functioning", [])
+        construct(f"functioning[{i}]: ", FunctioningRule,
+                  replaced_variable_ids=tuple(r["group_ids"]),
+                  heights=tuple(r["heights_cm"]))
+        for i, r in enumerate(doc.get("functioning", []))
     )
+    if errs:
+        raise ConfigError(errs)
 
     opt = doc.get("optimization", {})
     defaults = {

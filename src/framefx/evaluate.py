@@ -48,7 +48,8 @@ VALID_FAMILIES = ("stress", "lateral_drift", "interstory_drift", "lrfd_interacti
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Which constraint families apply and their limits."""
+    """Which constraint families apply and their limits: every limit given
+    is positive, and each active family has its own."""
 
     families: frozenset
     stress_allowable: float | None = None   # kN/cm^2
@@ -63,14 +64,17 @@ class ConstraintSet:
         unknown = set(self.families) - set(VALID_FAMILIES)
         if unknown:
             raise ValueError(f"unknown constraint families: {sorted(unknown)}")
-        if "stress" in self.families and (self.stress_allowable or 0) <= 0:
-            raise ValueError("stress family requires a positive stress_allowable")
-        if "lateral_drift" in self.families and self.roof_drift_limit_abs is None:
-            if (self.drift_index_R or 0) <= 0:
-                raise ValueError("lateral_drift family requires drift_index_R > 0 "
-                                 "or roof_drift_limit_abs")
-        if "interstory_drift" in self.families and self.interstory_index_RI <= 0:
-            raise ValueError("interstory_index_RI must be positive")
+        for name in ("stress_allowable", "drift_index_R", "interstory_index_RI",
+                     "roof_drift_limit_abs"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if "stress" in self.families and self.stress_allowable is None:
+            raise ValueError("stress family requires stress_allowable")
+        if "lateral_drift" in self.families and self.drift_index_R is None \
+                and self.roof_drift_limit_abs is None:
+            raise ValueError("lateral_drift family requires drift_index_R "
+                             "or roof_drift_limit_abs")
         if self.k_mode not in ("fixed", "sway"):
             raise ValueError(f"unknown k_mode {self.k_mode!r}")
 
@@ -93,8 +97,9 @@ class Evaluation:
 
     def __getitem__(self, rows) -> "Evaluation":
         """The designs at ``rows`` of a population."""
+        g = self.normalized_violation
         return Evaluation(self.objective[rows], self.violations[rows],
-                          self.normalized_violation[rows])
+                          None if g is None else g[rows])
 
     @property
     def feasible(self):

@@ -14,7 +14,6 @@ Units: cm, kN, kN*cm, kg (density in kg/cm^3, stresses in kN/cm^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -24,7 +23,6 @@ from .sections import AREA, INERTIA, SECTION_MODULUS, property_block
 __all__ = [
     "DOF_NAMES",
     "KERNEL_ID",
-    "LEVEL_TOL",
     "FrameModel",
     "AnalysisResult",
     "StructuralInstabilityError",
@@ -59,7 +57,12 @@ class StructuralInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class FrameModel:
-    """Geometry, supports, loads and grouping of one planar frame."""
+    """Geometry, supports, loads and grouping of one planar frame.
+
+    Construction compiles the model and raises ValueError with one line per
+    bad entry, named by its frame-config field path (``members[i]``,
+    ``story_levels[j]``, ``groups[g].role``, ...).
+    """
 
     nodes: tuple            # ((x, y), ...) cm
     members: tuple          # ((node_a, node_b, group_id), ...)
@@ -74,34 +77,9 @@ class FrameModel:
     name: str = "frame"
 
     def __post_init__(self):
-        n = len(self.nodes)
-        n_g = len(self.group_roles)
-        for a, b, g in self.members:
-            if not (0 <= a < n and 0 <= b < n) or a == b:
-                raise ValueError(f"member ({a}, {b}) references invalid nodes")
-            if tuple(self.nodes[a]) == tuple(self.nodes[b]):
-                raise ValueError(f"member ({a}, {b}) has zero length")
-            if not 0 <= g < n_g:
-                raise ValueError(f"member group id {g} out of range (n_g={n_g})")
-        for node, dofs in self.supports:
-            if not 0 <= node < n:
-                raise ValueError(f"support node {node} out of range")
-            for d in dofs:
-                if d not in DOF_NAMES:
-                    raise ValueError(f"unknown support dof {d!r}")
-        for node, *_ in self.loads:
-            if not 0 <= node < n:
-                raise ValueError(f"load node {node} out of range")
-        if self.story_levels:
-            lv = self.story_levels
-            if lv[0] <= 0 or any(b <= a for a, b in zip(lv, lv[1:])):
-                raise ValueError("story_levels must be strictly ascending and positive")
-        for role in self.group_roles:
-            if role not in ("beam", "column"):
-                raise ValueError(f"unknown group role {role!r}")
-        if self.group_k_factors and (len(self.group_k_factors) != n_g
-                                     or not all(k > 0 for k in self.group_k_factors)):
-            raise ValueError("group_k_factors needs one positive factor per group")
+        # compiled once, checking every entry; not a field, so the kernel
+        # is freed with the immutable model
+        object.__setattr__(self, "_kernel", _Kernel(self))
 
     @property
     def n_groups(self) -> int:
@@ -121,12 +99,6 @@ class FrameModel:
             for d in dofs:
                 out.add(3 * node + DOF_NAMES.index(d))
         return sorted(out)
-
-    @cached_property
-    def _kernel(self) -> "_Kernel":
-        # stored on the instance: the model is immutable, and the kernel is
-        # freed with it
-        return _Kernel(self)
 
 
 def _local_stiffness(ea, ei, L):
@@ -150,6 +122,56 @@ def _rotation(c, s):
     return t
 
 
+def _entry_errors(model: FrameModel, nodes, members, levels, on_level) -> list:
+    """One line per bad entry of ``model``, named by its frame-config field
+    path; ``on_level`` marks the nodes at each story level, (levels, nodes)."""
+    errors = []
+
+    def each(bad, message):
+        errors.extend(message(i) for i in np.flatnonzero(bad))
+
+    def outside(index, n):
+        return (index < 0) | (index >= n)
+
+    bad_ends = outside(members[:, :2], len(nodes)).any(axis=1)
+    each(bad_ends, lambda i: f"members[{i}]: node indices "
+                             f"({members[i, 0]}, {members[i, 1]}) invalid")
+    coincide = np.zeros(len(members), dtype=bool)
+    a, b = members[~bad_ends, :2].T
+    coincide[~bad_ends] = (nodes[a] == nodes[b]).all(axis=1)
+    each(coincide, lambda i: f"members[{i}]: zero length "
+                             f"(nodes {members[i, 0]} and {members[i, 1]} coincide)")
+    each(outside(members[:, 2], model.n_groups),
+         lambda i: f"members[{i}]: group id {members[i, 2]} out of range")
+
+    if not model.supports:
+        errors.append("supports: at least one support required")
+    each(outside(np.array([node for node, _ in model.supports], dtype=np.intp),
+                 len(nodes)),
+         lambda i: f"supports[{i}].node: invalid index {model.supports[i][0]!r}")
+    errors += [f"supports[{i}].fix: expected a non-empty subset of {DOF_NAMES}"
+               for i, (_, fix) in enumerate(model.supports)
+               if not fix or not all(d in DOF_NAMES for d in fix)]
+    each(outside(np.array([ld[0] for ld in model.loads], dtype=np.intp), len(nodes)),
+         lambda i: f"loads[{i}].node: invalid index {model.loads[i][0]!r}")
+
+    if levels.size and (levels[0] <= 0 or (np.diff(levels) <= 0).any()):
+        errors.append("story_levels: must be positive and strictly ascending")
+    each(~on_level.any(axis=1),
+         lambda j: f"story_levels[{j}]: no node at height {model.story_levels[j]}")
+
+    errors += [f"groups[{g}].role: expected beam|column, got {role!r}"
+               for g, role in enumerate(model.group_roles)
+               if role not in ("beam", "column")]
+    k = model.group_k_factors
+    if k and len(k) != model.n_groups:
+        errors.append(f"group_k_factors: expected one positive factor per group, "
+                      f"got {len(k)} for {model.n_groups} groups")
+    errors += [f"groups[{g}].k_factor: expected one positive factor per group, "
+               f"got {v!r}" for g, v in enumerate(k) if not v > 0]
+    return errors
+
+
 class _Kernel:
     """One FrameModel compiled to arrays.
 
@@ -165,6 +187,11 @@ class _Kernel:
     def __init__(self, model: FrameModel):
         nodes = np.array(model.nodes, dtype=float).reshape(-1, 2)
         members = np.array(model.members, dtype=np.intp).reshape(-1, 3)
+        levels = np.array(model.story_levels, dtype=float)
+        on_level = np.abs(nodes[:, 1] - levels[:, None]) < LEVEL_TOL
+        errors = _entry_errors(model, nodes, members, levels, on_level)
+        if errors:
+            raise ValueError("\n".join(errors))
         self.ends = members[:, :2]
         self.group = members[:, 2]
         dx, dy = (nodes[members[:, 1]] - nodes[members[:, 0]]).T
@@ -218,12 +245,7 @@ class _Kernel:
             self.supported[node] = True
             self.rot_fixed[node] |= "rot" in dofs
 
-        levels = np.array(model.story_levels, dtype=float)
-        on_level = np.abs(nodes[:, 1] - levels[:, None]) < LEVEL_TOL
-        counts = on_level.sum(axis=1)
-        missing = levels[counts == 0]
-        self.missing_level = float(missing[0]) if missing.size else None
-        self.level_weights = on_level / np.maximum(counts, 1)[:, None]
+        self.level_weights = on_level / on_level.sum(axis=1)[:, None]
         self.story_heights = np.diff(np.concatenate(([0.0], levels)))
 
     def _bandwidth(self, free) -> int:
@@ -335,8 +357,6 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
                               + inertia[r, :, None, None] * kernel.forces_per_inertia,
                               u_members)
 
-    if kernel.missing_level is not None:
-        raise ValueError(f"no nodes found at story level {kernel.missing_level}")
     ux = u[:, 0::3]
     # one matrix-vector product per design: the same bits as a design alone
     lateral = np.matmul(kernel.level_weights, ux[:, :, None])[..., 0]

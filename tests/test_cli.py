@@ -251,6 +251,43 @@ class TestValidate:
                        "--out", str(out_dir)) == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["constraints"].update(families=["stress"]),
+         "constraints: stress family requires stress_allowable"),
+        (lambda doc: doc["constraints"].update(families=["stress"],
+                                               stress_allowable=-1.0),
+         "constraints: stress_allowable must be positive"),
+        (lambda doc: doc["constraints"].pop("roof_drift_limit_abs"),
+         "constraints: lateral_drift family requires"),
+        (lambda doc: doc["constraints"].update(
+            families=["lateral_drift", "interstory_drift"], interstory_index=-1),
+         "constraints: interstory_index_RI must be positive"),
+        (lambda doc: doc["constraints"].update(roof_drift_limit_abs=-1),
+         "constraints: roof_drift_limit_abs must be positive"),
+        (lambda doc: doc.update(functioning=[{"group_ids": [0], "heights_cm": [0.0]}]),
+         "functioning[0]: a functioning rule must replace at least two variables"),
+        (lambda doc: doc["supports"][0].update(fix=[]),
+         "supports[0].fix: expected a non-empty subset"),
+        (lambda doc: doc["constraints"].update(interstory_index=None),
+         "constraints.interstory_index: expected a number, got None"),
+    ], ids=["stress-without-limit", "negative-stress-limit", "drift-without-limit",
+            "negative-interstory-index", "negative-roof-limit", "one-group-rule",
+            "empty-fix", "null-interstory-index"])
+    def test_config_errors_exit_1_at_load(self, tmp_path, capsys, edit, message):
+        doc = load_frame_config("frame-8story-1bay")
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        assert "config ok" not in captured.out
+        assert "configuration error" in captured.err and message in captured.err
+        out_dir = tmp_path / "results"
+        assert run_cli("run", "--config", str(path), "--trials", "1",
+                       "--out", str(out_dir)) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unstable_supports_diagnosed(self, tmp_path, capsys):
         doc = {
             "name": "wobbly",

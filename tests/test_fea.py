@@ -286,7 +286,8 @@ class TestValidation:
             )
 
     def test_zero_length_member(self):
-        with pytest.raises(ValueError, match=r"member \(1, 2\) has zero length"):
+        with pytest.raises(ValueError,
+                           match=r"members\[1\]: zero length \(nodes 1 and 2 coincide\)"):
             FrameModel(
                 nodes=((0.0, 0.0), (0.0, 100.0), (0.0, 100.0)),
                 members=((0, 1, 0), (1, 2, 0)),

@@ -125,6 +125,25 @@ class TestFrameProblems:
         with pytest.raises(ConfigError):
             frame_problem({"name": "broken"})
 
+    def test_every_section_reports_its_problems(self):
+        doc = load_frame_config("frame-8story-1bay")
+        doc["members"][2][1] = doc["members"][2][0]
+        doc["story_levels"][0] += 1.0
+        doc["groups"][1]["role"] = "brace"
+        doc["constraints"]["roof_drift_limit_abs"] = 0.0
+        doc["functioning"][0]["heights_cm"][0] = 5.0
+        with pytest.raises(ConfigError) as err:
+            frame_problem(doc)
+        level = doc["story_levels"][0]
+        node = doc["members"][2][0]
+        assert err.value.problems == [
+            f"members[2]: zero length (nodes {node} and {node} coincide)",
+            f"story_levels[0]: no node at height {level}",
+            "groups[1].role: expected beam|column, got 'brace'",
+            "constraints: roof_drift_limit_abs must be positive, got 0.0",
+            "functioning[0]: heights must start at 0 (the base section)",
+        ]
+
     def test_24story_columns_use_w14_pool(self):
         problem = frame_problem("frame-24story-3bay")
         for role, pool in zip(problem.frame.model.group_roles, problem.frame.pools):

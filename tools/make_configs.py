@@ -250,7 +250,8 @@ def main():
         doc, lateral, gravity = build()
         print(f"calibrating {doc['name']} (percentile {pct})")
         doc = calibrate(doc, lateral, gravity, percentile=pct)
-        load_frame_config(doc)  # raises ConfigError listing every problem
+        # the full load path: raises ConfigError listing every problem
+        build_frame(load_frame_config(doc))
         path = out_dir / (doc["name"].replace("-", "_", 1).replace("-", "_") + ".json")
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
