@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import BUNDLED_CONFIGS, ConfigError
 from .fea import StructuralInstabilityError, analyze
 from .fx import STRATEGIES, reduced_dimension
-from .grouping import interaction_matrix, render_matrix
+from .grouping import DEFAULT_ETA, interaction_matrix, render_matrix
 from .harness import ExperimentPlan, PlanMismatchError, build_problem, cell_name, \
     default_cell_settings, load_records, mean_history, practicality_report, run_plan
 from .optim import ALGORITHMS
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     int_p = sub.add_parser("interactions", help="build the variable-interaction matrix")
     _add_problem_args(int_p, with_seed=False)
-    int_p.add_argument("--eta", type=float, default=1e-10,
+    int_p.add_argument("--eta", type=float, default=DEFAULT_ETA,
                        help="relative adjacency threshold")
     int_p.add_argument("--out", help="output root (default $FRAMEFX_OUT or ./results)")
 
@@ -114,9 +114,9 @@ def cmd_run(args) -> int:
     strategies = STRATEGIES if args.strategy == "all" \
         else tuple(args.strategy.split(","))
     population, max_fe = default_cell_settings(problem)
-    if args.pop:
+    if args.pop is not None:
         population = {s: args.pop for s in population}
-    if args.max_fe:
+    if args.max_fe is not None:
         max_fe = {s: args.max_fe for s in max_fe}
 
     try:  # checked before anything is written
@@ -156,13 +156,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_interactions(args) -> int:
-    spec = _problem_spec(args)
-    problem = build_problem(spec)
+    problem = build_problem(_problem_spec(args))
     probe = problem.probe
-    if probe is None:
-        raise ConfigError([f"problem {problem.name} has no continuous relaxation "
-                           f"for interaction analysis"])
-    matrix = interaction_matrix(probe.f, probe.lower, probe.upper, eta=args.eta)
+    try:  # evaluation failures are RuntimeErrors and pass through
+        matrix = interaction_matrix(probe.f, probe.lower, probe.upper, eta=args.eta)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
     out_dir = _out_root(args) / f"{problem.name}-interactions"
     paths = render_matrix(matrix, out_dir)
     n_edges = int(matrix.adjacency.sum() - matrix.n)  # off-diagonal, both directions

@@ -117,8 +117,8 @@ class GMaxTracker:
     keeping results independent of evaluation order within the generation.
     """
 
-    def __init__(self, n_constraints=None):
-        self.gmax = None if n_constraints is None else np.zeros(n_constraints)
+    def __init__(self):
+        self.gmax = None
 
     def _ensure(self, n):
         if self.gmax is None:

@@ -7,15 +7,15 @@ variable pair (i, j) is the non-additivity of f across a four-point stencil:
 
 with base point x at the lower bounds and each perturbation moving one
 coordinate to its interval midpoint.  A separable pair gives lambda = 0 up
-to rounding.  Evaluations are memoized so a full matrix costs
-(n^2 + n + 2) / 2 evaluations.
+to rounding.  The pairs share their base and single-move points, so a full
+matrix evaluates (n^2 + n + 2) / 2 points, in this order: the base, the n
+single moves, then each pair i < j row by row.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +44,11 @@ class InteractionMatrix:
 def interaction_matrix(f, lower, upper, eta=DEFAULT_ETA) -> InteractionMatrix:
     """Build the full interaction matrix of ``f`` over [lower, upper].
 
-    ``eta`` scales the adjacency threshold: a pair is flagged as interacting
-    when lambda exceeds eta times the largest objective magnitude on its
-    stencil (floored at 1).  Evaluation errors propagate with the failing
-    point attached.
+    ``f`` is called once per stencil point, in stencil order.  ``eta``
+    (finite, >= 0) scales the adjacency threshold: a pair is flagged as
+    interacting when lambda exceeds eta times the largest objective
+    magnitude on its stencil (floored at 1).  Evaluation errors propagate
+    with the failing point attached.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -56,46 +57,33 @@ def interaction_matrix(f, lower, upper, eta=DEFAULT_ETA) -> InteractionMatrix:
         raise ValueError("interaction analysis needs at least two variables")
     if (upper <= lower).any():
         raise ValueError("upper bounds must exceed lower bounds")
-    mid = (lower + upper) / 2.0
+    if not (np.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
 
-    def point(ids):
-        x = lower.copy()
-        for i in ids:
-            x[i] = mid[i]
-        return x
+    i, j = np.triu_indices(n, 1)
+    single, pair = 1 + np.arange(n), 1 + n + np.arange(i.size)
+    points = np.tile(lower, (matrix_fe_cost(n), 1))
+    points[single, single - 1] = (lower + upper) / 2.0
+    points[pair, i] = points[1 + i, i]
+    points[pair, j] = points[1 + j, j]
+    values = np.empty(len(points))
+    for k, x in enumerate(points):
+        try:
+            values[k] = float(f(x))
+        except Exception as exc:
+            raise RuntimeError(
+                f"objective evaluation failed at point {x.tolist()}") from exc
 
-    cache = {}  # perturbed ids -> objective value
-
-    def safe_eval(key):
-        if key not in cache:
-            x = point(key)
-            try:
-                cache[key] = float(f(x))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"objective evaluation failed at point {x.tolist()}") from exc
-        return cache[key]
-
-    f0 = safe_eval(())
-    singles = np.array([safe_eval((i,)) for i in range(n)])
-
+    f0, fi, fj, fij = values[0], values[1 + i], values[1 + j], values[pair]
+    magnitude = np.maximum(1.0, np.abs(np.broadcast_arrays(f0, fi, fj, fij)).max(axis=0))
     lam = np.zeros((n, n))
     thresholds = np.zeros((n, n))
     adjacency = np.eye(n, dtype=bool)
-    for i, j in combinations(range(n), 2):
-        fij = safe_eval((i, j))
-        fi, fj = singles[i], singles[j]
-        value = abs((fij - fj) - (fi - f0))
-        thr = eta * max(1.0, abs(f0), abs(fi), abs(fj), abs(fij))
-        lam[i, j] = lam[j, i] = value
-        thresholds[i, j] = thresholds[j, i] = thr
-        if value > thr:
-            adjacency[i, j] = adjacency[j, i] = True
-
-    fe_cost = len(cache)
-    assert fe_cost == matrix_fe_cost(n), (fe_cost, matrix_fe_cost(n))
+    lam[i, j] = lam[j, i] = np.abs((fij - fj) - (fi - f0))
+    thresholds[i, j] = thresholds[j, i] = eta * magnitude
+    adjacency[i, j] = adjacency[j, i] = lam[i, j] > thresholds[i, j]
     return InteractionMatrix(n=n, lam=lam, adjacency=adjacency,
-                             threshold_used=thresholds, fe_cost=fe_cost)
+                             threshold_used=thresholds, fe_cost=len(points))
 
 
 def render_matrix(matrix: InteractionMatrix, out_dir) -> dict:

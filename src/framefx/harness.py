@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .config import ConfigError
 from .fea import KERNEL_ID
 from .fx import STRATEGIES
 from .optim import ALGORITHMS, OptimizerConfig, RunRecord, run_optimizer
@@ -53,17 +54,23 @@ class PlanMismatchError(ValueError):
 
 
 def build_problem(spec: dict) -> Problem:
-    """Reconstruct a problem from its serializable spec (worker-safe)."""
+    """Reconstruct a problem from its serializable spec (worker-safe); a bad
+    spec raises ConfigError."""
     kind = spec.get("kind")
-    if kind == "stepped-column":
-        fields = {f.name for f in dataclasses.fields(SteppedColumnSpec)}
-        kwargs = {k: v for k, v in spec.items() if k in fields}
-        return stepped_column_problem(SteppedColumnSpec(**kwargs))
-    if kind == "frame":
-        return frame_problem(spec["config"])
-    if kind == "sphere":
-        return sphere_problem(dimension=spec.get("dimension", 5))
-    raise ValueError(f"unknown problem kind {kind!r}")
+    try:
+        if kind == "stepped-column":
+            fields = {f.name for f in dataclasses.fields(SteppedColumnSpec)}
+            kwargs = {k: v for k, v in spec.items() if k in fields}
+            return stepped_column_problem(SteppedColumnSpec(**kwargs))
+        if kind == "frame":
+            return frame_problem(spec["config"])
+        if kind == "sphere":
+            return sphere_problem(dimension=spec.get("dimension", 5))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
+    raise ConfigError([f"unknown problem kind {kind!r}"])
 
 
 def default_cell_settings(problem: Problem):
@@ -93,6 +100,9 @@ class ExperimentPlan:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ValueError(f"unknown strategy {s!r}")
+        for kind, names in (("algorithm", self.algorithms), ("strategy", self.strategies)):
+            if len(set(names)) < len(names):
+                raise ValueError(f"each {kind} may be listed once, got {','.join(names)}")
         for a, s in self.cells():  # each cell must make a valid optimizer run
             OptimizerConfig(algorithm=a, population_size=self.population.get(s, 0),
                             max_fe=self.max_fe.get(s, 0))

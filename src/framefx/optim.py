@@ -2,11 +2,11 @@
 
 Both optimizers treat every variable as continuous; index-coded variables
 are rounded inside the problem's evaluation only.  Selection and best
-tracking use the feasibility rules (deb_compare); the penalized scalar
-fitness is only a reporting view.  Boundary handling follows the usual
-scheme for each algorithm: DE clamps an out-of-bounds trial component back
-to the violated bound, PSO clamps the position and reverses that velocity
-component so the particle does not immediately leave again.
+tracking use the feasibility rules (deb_compare).  Boundary handling
+follows the usual scheme for each algorithm: DE clamps an out-of-bounds
+trial component back to the violated bound, PSO clamps the position and
+reverses that velocity component so the particle does not immediately
+leave again.
 
 Runs are deterministic: one seed feeds two independent substreams, one for
 initialization and one for the search loop, so strategies that differ only

@@ -368,6 +368,8 @@ def attach_fx(problem: Problem) -> Problem:
 
 def sphere_problem(dimension=5, lower=-5.0, upper=5.0) -> Problem:
     """Unconstrained sphere test function (smoke tests for the optimizers)."""
+    if dimension < 1:
+        raise ValueError(f"dimension must be >= 1, got {dimension}")
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)

@@ -10,12 +10,14 @@ per group, indices rounded with round(), member properties read with
 getattr; and the original functioned column stack, searched one height at a
 time for the nearest area capped at the pick below; and the original
 per-design scoring, one design per call through scipy's banded Cholesky
-wrappers and NumPy products on that design alone.  They are slow and plain
-on purpose; tests compare the fast paths against them.
+wrappers and NumPy products on that design alone; and the original
+interaction matrix, one memoized point and one pair at a time.  They are
+slow and plain on purpose; tests compare the fast paths against them.
 """
 
 import math
 import re
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +27,7 @@ from framefx.evaluate import COLUMN_ELASTIC_COEF, PHI_BENDING, PHI_COMPRESSION, 
     effective_length_factor_sway as array_sway_factor, \
     lrfd_interaction_value as array_interaction_value
 from framefx.fea import AnalysisResult
+from framefx.grouping import DEFAULT_ETA, InteractionMatrix, matrix_fe_cost
 from framefx.sections import AREA, INERTIA, PLASTIC_MODULUS, RADIUS_X, RADIUS_Y, \
     SECTION_MODULUS, SectionShape
 
@@ -414,3 +417,38 @@ def fx_expand(reduced, xr):
         replaced += ids
     full[np.setdiff1d(np.arange(base.dimension), replaced)] = xr[2 * len(base.rules):]
     return full
+
+
+def interaction_matrix(f, lower, upper, eta=DEFAULT_ETA) -> InteractionMatrix:
+    """Differential-grouping matrix built pair by pair, each stencil point
+    evaluated on first use and memoized by its perturbed variable ids."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n = lower.size
+    mid = (lower + upper) / 2.0
+    cache = {}
+
+    def value(ids):
+        if ids not in cache:
+            x = lower.copy()
+            for i in ids:
+                x[i] = mid[i]
+            cache[ids] = float(f(x))
+        return cache[ids]
+
+    f0 = value(())
+    singles = np.array([value((i,)) for i in range(n)])
+    lam = np.zeros((n, n))
+    thresholds = np.zeros((n, n))
+    adjacency = np.eye(n, dtype=bool)
+    for i, j in combinations(range(n), 2):
+        fij = value((i, j))
+        fi, fj = singles[i], singles[j]
+        lam[i, j] = lam[j, i] = abs((fij - fj) - (fi - f0))
+        thresholds[i, j] = thresholds[j, i] = \
+            eta * max(1.0, abs(f0), abs(fi), abs(fj), abs(fij))
+        if lam[i, j] > thresholds[i, j]:
+            adjacency[i, j] = adjacency[j, i] = True
+    assert len(cache) == matrix_fe_cost(n)
+    return InteractionMatrix(n=n, lam=lam, adjacency=adjacency,
+                             threshold_used=thresholds, fe_cost=len(cache))

@@ -48,6 +48,12 @@ class TestRun:
         ("--strategy", "bogus", "unknown strategy 'bogus'"),
         ("--trials", "0", "trials must be >= 1"),
         ("--jobs", "0", "--jobs must be >= 1"),
+        ("--pop", "0", "population_size must be >= 4"),
+        ("--max-fe", "0", "max_fe must cover at least the initial population"),
+        ("--algo", "de,de", "each algorithm may be listed once"),
+        ("--strategy", "none,none", "each strategy may be listed once"),
+        ("--segments", "0", "segment_count must be >= 1"),
+        ("--tip-load", "-1", "tip_load must be positive"),
     ])
     def test_bad_arguments_exit_1_without_output(self, tmp_path, capsys, option,
                                                  value, message):
@@ -166,6 +172,24 @@ class TestInteractions:
         code = run_cli("interactions", "--problem", "sphere",
                        "--out", str(blocker))
         assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("interactions", "--problem", "sphere", "--eta", "-1"), "eta must be finite and >= 0"),
+    (("interactions", "--problem", "sphere", "--eta", "nan"), "eta must be finite and >= 0"),
+    (("interactions", "--problem", "stepped-column", "--segments", "1"),
+     "needs at least two variables"),
+    (("validate", "--problem", "sphere", "--dimension", "0"), "dimension must be >= 1"),
+], ids=["eta-negative", "eta-nan", "one-segment", "sphere-dimension-0"])
+def test_bad_problem_arguments_exit_1_without_output(tmp_path, capsys, monkeypatch,
+                                                     argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FRAMEFX_OUT", raising=False)
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert "configuration error" in err and message in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestValidate:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framefx.grouping import interaction_matrix, matrix_fe_cost, render_matrix
-from framefx.problems import SteppedColumnSpec, stepped_column_problem
+from framefx.problems import SteppedColumnSpec, frame_problem, stepped_column_problem
+
+import fea_oracle as oracle
 
 
 class TestInteractionMatrix:
@@ -75,6 +77,50 @@ class TestInteractionMatrix:
     def test_needs_two_variables(self):
         with pytest.raises(ValueError):
             interaction_matrix(lambda x: 0.0, np.zeros(1), np.ones(1))
+
+    @pytest.mark.parametrize("eta", [-1e-10, float("nan"), float("inf")])
+    def test_eta_must_be_finite_and_nonnegative(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            interaction_matrix(lambda x: 0.0, np.zeros(2), np.ones(2), eta=eta)
+
+    def test_stencil_order(self):
+        # the base, each single midpoint move, then the pairs i < j row by row
+        calls = []
+        f = lambda x: calls.append(x.tolist()) or 0.0
+        interaction_matrix(f, np.zeros(3), np.array([2.0, 4.0, 6.0]))
+        assert calls == [[0, 0, 0],
+                         [1, 0, 0], [0, 2, 0], [0, 0, 3],
+                         [1, 2, 0], [1, 0, 3], [0, 2, 3]]
+
+
+def _column_probe():
+    return stepped_column_problem(SteppedColumnSpec(segment_count=10)).probe
+
+
+@pytest.mark.parametrize("make_probe", [
+    lambda: frame_problem("frame-8story-1bay").probe,
+    lambda: frame_problem("frame-24story-3bay").probe,
+    _column_probe,
+], ids=["frame-8story", "frame-24story", "column-10"])
+def test_matches_memoized_oracle_bit_for_bit(make_probe):
+    """The stencil array gives the memoized pair-by-pair build's matrices,
+    bit for bit, from the same sequence of objective calls."""
+    probe = make_probe()
+    runs = []
+    for build in (interaction_matrix, oracle.interaction_matrix):
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x))
+            return probe.f(x)
+
+        runs.append((build(f, probe.lower, probe.upper), calls))
+    (new, new_calls), (old, old_calls) = runs
+    for name in ("lam", "threshold_used", "adjacency"):
+        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+    assert new.fe_cost == old.fe_cost == len(new_calls)
+    assert len(new_calls) == len(old_calls)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(new_calls, old_calls))
 
 
 class TestSteppedColumnPattern:
