@@ -250,7 +250,7 @@ def cmd_validate(args) -> int:
         ctx = problem.frame
         fams = ", ".join(sorted(ctx.constraint_set.families))
         print(f"constraint families: {fams}")
-        largest = tuple(pool[len(pool) - 1] for pool in ctx.pools)
+        largest = tuple(pool[-1] for pool in ctx.pools)
         result = analyze(ctx.model, largest)  # probe at the stiffest sections
         ev = problem.evaluate(problem.upper)
         print(f"probe at largest sections: max lateral displacement "
@@ -264,7 +264,7 @@ def cmd_sections(args) -> int:
     pool = load_pool(args.pool)
     print(f"pool {pool.label or args.pool}: {len(pool)} shapes")
     print(f"area range: {pool.min_area:.2f} .. {pool.max_area:.2f} cm^2")
-    print(f"lightest: {pool[0].name}  heaviest: {pool[len(pool) - 1].name}")
+    print(f"lightest: {pool.names[0]}  heaviest: {pool.names[-1]}")
     return 0
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .evaluate import ConstraintSet
 from .fea import FrameModel
-from .fx import STRATEGIES, FunctioningRule
+from .fx import STRATEGIES, FunctioningRule, validate_rules
 from .sections import BUNDLED_POOLS, load_pool
 
 __all__ = [
@@ -35,11 +35,12 @@ BUNDLED_CONFIGS = {
 
 
 class ConfigError(ValueError):
-    """Config failed validation; ``problems`` lists field-level diagnostics."""
+    """A config or option failed validation; ``problems`` lists one
+    diagnostic per line, a frame config's with its field path."""
 
     def __init__(self, problems):
         self.problems = list(problems)
-        super().__init__("invalid frame config:\n  " + "\n  ".join(self.problems))
+        super().__init__("\n  ".join(self.problems))
 
 
 def _is_number(value) -> bool:
@@ -50,9 +51,9 @@ def _is_number(value) -> bool:
 
 def _check(doc):
     """What only the JSON shows: its shape, types and finite numbers, pool
-    labels, how functioning rules bind to groups, and the optimizer block.
-    The frame model, the constraint set and each functioning rule check the
-    rest when ``build_frame`` constructs them."""
+    labels and the optimizer block.  The frame model, the constraint set,
+    each functioning rule and ``fx.validate_rules`` check the rest when
+    ``build_frame`` constructs them."""
     errs = []
 
     def need(key, types, where=doc, prefix=""):
@@ -132,7 +133,6 @@ def _check(doc):
     if not isinstance(rules, list):
         errs.append("functioning: expected list")
         rules = []
-    owner = {}  # group id -> the rule that functions it
     for i, rule in enumerate(rules):
         if not isinstance(rule, dict):
             errs.append(f"functioning[{i}]: expected object")
@@ -143,20 +143,6 @@ def _check(doc):
             errs.append(f"functioning[{i}].heights_cm: expected a list of numbers")
         if not (isinstance(gids, list) and all(isinstance(g, int) for g in gids)):
             errs.append(f"functioning[{i}].group_ids: expected list of group ids")
-            continue
-        for g in dict.fromkeys(gids):  # a repeat within a rule is the rule's own
-            if not 0 <= g < len(groups):
-                errs.append(f"functioning[{i}].group_ids: group {g} out of range")
-            elif g in owner:
-                errs.append(f"functioning[{i}]: group {g} already functioned by "
-                            f"rule {owner[g]} (rules must be disjoint)")
-            else:
-                owner[g] = i
-        pools = {groups[g].get("pool") for g in gids
-                 if 0 <= g < len(groups) and isinstance(groups[g], dict)}
-        if len(pools) > 1:
-            errs.append(f"functioning[{i}]: all functioned groups must share one "
-                        f"pool, got {sorted(pools)}")
 
     opt = doc.get("optimization")
     if opt is not None:
@@ -205,7 +191,8 @@ def load_frame_config(source) -> dict:
 def build_frame(doc):
     """Turn a loaded config into (FrameModel, per-group pools, ConstraintSet,
     functioning rules, strategy defaults); raises ConfigError listing what
-    the model, the constraint set and each functioning rule reject."""
+    the model, the constraint set, each functioning rule and, once every
+    rule is built, ``fx.validate_rules`` on the groups' pools reject."""
     mat = doc["material"]
     groups = doc["groups"]
     pool_cache = {}
@@ -218,9 +205,9 @@ def build_frame(doc):
 
     errs = []
 
-    def construct(prefix, cls, **fields):
+    def construct(prefix, build, **fields):
         try:
-            return cls(**fields)
+            return build(**fields)
         except ValueError as exc:
             errs.extend(prefix + line for line in str(exc).splitlines())
 
@@ -257,6 +244,8 @@ def build_frame(doc):
                   heights=tuple(r["heights_cm"]))
         for i, r in enumerate(doc.get("functioning", []))
     )
+    if None not in rules:  # how the rules bind to the groups' pools
+        construct("", validate_rules, rules=rules, domains=pools)
     if errs:
         raise ConfigError(errs)
 

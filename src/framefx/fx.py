@@ -107,22 +107,34 @@ def expand_discrete(base_index, alpha, heights, pool: SectionPool) -> np.ndarray
         np.concatenate((base_index[..., None], snapped), axis=-1), axis=-1)
 
 
-def validate_rules(rules, n: int):
-    """Check rules are disjoint and reference valid variable ids."""
-    seen = {}
+def validate_rules(rules, domains):
+    """The one check of how rules bind to variables: every id names one of
+    ``domains``, no variable is in two rules, and each rule's variables
+    share one domain (equal domains: one pool for index variables, one
+    interval for continuous ones).  Raises ValueError listing every
+    problem, one line each."""
+    errs = []
+    owner = {}  # variable id -> the rule that replaces it
     for r, rule in enumerate(rules):
-        for i in rule.replaced_variable_ids:
-            if not 0 <= i < n:
-                raise ValueError(f"rule {r} references variable {i}, outside 0..{n - 1}")
-            if i in seen:
-                raise ValueError(
-                    f"rules {seen[i]} and {r} overlap on variable {i}"
-                )
-            seen[i] = r
+        ids = rule.replaced_variable_ids
+        outside = [i for i in ids if not 0 <= i < len(domains)]
+        if outside:
+            errs.append(f"functioning[{r}]: variables {outside} outside "
+                        f"0..{len(domains) - 1}")
+        taken = [i for i in ids if i in owner]
+        errs += [f"functioning[{r}]: variable {i} is already in "
+                 f"functioning[{owner[i]}] (rules must be disjoint)" for i in taken]
+        owner = dict.fromkeys(ids, r) | owner  # an id stays with its first rule
+        inside = [i for i in ids if i not in outside]
+        differ = [i for i in inside if domains[i] != domains[inside[0]]]
+        if differ:
+            errs.append(f"functioning[{r}]: variables {differ} do not share the "
+                        f"domain of variable {inside[0]}")
+    if errs:
+        raise ValueError("\n".join(errs))
 
 
 def reduced_dimension(rules, n: int) -> int:
     """Dimension after functioning: n minus, per rule, the replaced count
-    less the two profile parameters."""
-    validate_rules(rules, n)
+    less the two profile parameters; ``rules`` are already validated."""
     return n - sum(len(r.replaced_variable_ids) - 2 for r in rules)

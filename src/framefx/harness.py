@@ -163,11 +163,8 @@ def cell_name(algorithm, strategy) -> str:
 
 
 def _atomic_write_json(path: Path, doc):
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
-    os.replace(tmp, path)
+    _atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=1,
+                                        allow_nan=False) + "\n")
 
 
 def _atomic_write_text(path: Path, text):
@@ -186,15 +183,9 @@ def run_trial(problem_spec, algorithm, strategy, seed, population, max_fe) -> Ru
             problem = attach_fx(problem)
         return run_optimizer(problem, config, strategy=strategy)
     except Exception as exc:  # aborted trial: recorded as failed, plan continues
-        return RunRecord(
-            strategy=strategy, algorithm=algorithm, seed=seed,
-            population_size=population, max_fe=max_fe, fe_used=0,
-            best_history=[], infeasible_fraction_history=[],
-            final_vector=[], final_reduced_vector=None, final_decoded={},
-            final_objective=None, final_violations=[],
-            final_feasible=False, final_normalized_violation=None,
-            problem_name=problem.name, failed=True, error=repr(exc),
-        )
+        return RunRecord(strategy=strategy, algorithm=algorithm, seed=seed,
+                         population_size=population, max_fe=max_fe,
+                         problem_name=problem.name, failed=True, error=repr(exc))
 
 
 def _trial_worker(args):

@@ -15,7 +15,7 @@ in how they initialize share the exact search stream afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,17 +71,20 @@ class RunRecord:
     seed: int
     population_size: int
     max_fe: int
-    fe_used: int
-    best_history: list                 # best feasible objective per generation (None before first feasible)
-    infeasible_fraction_history: list  # fraction of current population infeasible
-    final_vector: list                 # full-space raw design vector
-    final_reduced_vector: list | None  # reduced vector when run in reduced space
-    final_decoded: dict
-    final_objective: float
-    final_violations: list
-    final_feasible: bool
-    final_normalized_violation: float
     problem_name: str
+    # what the run produced; a failed trial records these defaults
+    fe_used: int = 0
+    # best feasible objective per generation (None before first feasible)
+    best_history: list = field(default_factory=list)
+    # fraction of current population infeasible
+    infeasible_fraction_history: list = field(default_factory=list)
+    final_vector: list = field(default_factory=list)  # full-space raw design vector
+    final_reduced_vector: list | None = None  # reduced vector in reduced space
+    final_decoded: dict = field(default_factory=dict)
+    final_objective: float | None = None
+    final_violations: list = field(default_factory=list)
+    final_feasible: bool = False
+    final_normalized_violation: float | None = None
     failed: bool = False
     error: str | None = None
 

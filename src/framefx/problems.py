@@ -21,7 +21,7 @@ from .config import build_frame, load_frame_config
 from .evaluate import Evaluation, constraint_labels, constraint_values
 from .fx import FunctioningRule, alpha_max, expand_continuous, expand_discrete, \
     reduced_dimension, validate_rules
-from .sections import PROPERTIES, SectionPool, interpolated_properties
+from .sections import AREA, PROPERTIES, SectionPool, interpolated_properties
 
 __all__ = [
     "Domain",
@@ -37,13 +37,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Domain:
-    """One decision variable: a continuous interval or a catalog index range."""
+    """One decision variable: a continuous interval or a catalog index range.
+    Domains are equal when they share a kind, bounds and pool, whatever
+    their labels."""
 
     kind: str                      # "continuous" | "index"
     lower: float
     upper: float
     pool: SectionPool | None = None
-    label: str = ""
+    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.kind not in ("continuous", "index"):
@@ -240,11 +242,10 @@ def frame_problem(config_source) -> Problem:
 
     def decode(x):
         idx = indices(x)
-        shapes = [pools[g][i] for g, i in enumerate(idx)]
         return {
-            "section_indices": [int(i) for i in idx],
-            "sections": [s.name for s in shapes],
-            "areas_cm2": [s.area for s in shapes],
+            "section_indices": idx.tolist(),
+            "sections": [pool.names[i] for pool, i in zip(pools, idx)],
+            "areas_cm2": table[offset + idx, AREA].tolist(),
         }
 
     penalty_scale = 2.0 * fea.frame_weight(model, table[offset + upper])
@@ -287,7 +288,7 @@ def attach_fx(problem: Problem) -> Problem:
     if not rules:
         raise ValueError(f"{problem.name}: no functioning rules declared")
     n = problem.dimension
-    validate_rules(rules, n)
+    validate_rules(rules, problem.domains)
 
     untouched = np.setdiff1d(np.arange(n),
                              [i for r in rules for i in r.replaced_variable_ids])
@@ -297,15 +298,6 @@ def attach_fx(problem: Problem) -> Problem:
     for rule in rules:
         ids = rule.replaced_variable_ids
         base_dom = problem.domains[ids[0]]
-        for i in ids[1:]:
-            d = problem.domains[i]
-            if d.kind != base_dom.kind or d.pool is not base_dom.pool \
-                    or (d.kind == "continuous"
-                        and (d.lower, d.upper) != (base_dom.lower, base_dom.upper)):
-                raise ValueError(
-                    f"functioned variables {ids} must share one domain; "
-                    f"variable {i} differs"
-                )
         if base_dom.kind == "index":
             lo, hi = base_dom.pool.min_area, base_dom.pool.max_area
         else:

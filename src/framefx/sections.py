@@ -88,29 +88,32 @@ class SectionShape:
 
 
 class SectionPool:
-    """Immutable ordered catalog: shapes sorted ascending by area.
+    """Immutable ordered catalog: shape names and their property table,
+    sorted ascending by area.
 
     Ties in area are broken by ascending depth, then name, so the ordering
     is total and reproducible.  ``properties`` is the read-only (n, k) table
-    in PROPERTIES column order, column-major.  Safe for concurrent read.
+    in PROPERTIES column order, column-major; ``pool[i]`` is row i as a
+    SectionShape.  Safe for concurrent read.
     """
 
     def __init__(self, shapes, label=""):
         if not shapes:
             raise SectionTableError("empty section table")
-        self.shapes = tuple(sorted(shapes, key=lambda s: (s.area, s.depth, s.name)))
+        shapes = sorted(shapes, key=lambda s: (s.area, s.depth, s.name))
+        self.names = tuple(s.name for s in shapes)
         self.label = label
-        self.properties = np.array([s.row for s in self.shapes], order="F")
+        self.properties = np.array([s.row for s in shapes], order="F")
         self.properties.flags.writeable = False
 
     def __len__(self):
-        return len(self.shapes)
+        return len(self.names)
 
     def __getitem__(self, i) -> SectionShape:
-        return self.shapes[i]
+        return SectionShape(self.names[i], *self.properties[i].tolist())
 
     def __iter__(self):
-        return iter(self.shapes)
+        return map(self.__getitem__, range(len(self)))
 
     @property
     def areas(self) -> np.ndarray:

@@ -65,7 +65,8 @@ class TestRun:
                            *(part for item in cell.items() for part in item))
 
         assert run({option: value}) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "frame config" not in err
         assert list(tmp_path.iterdir()) == []
         # nothing was written, so the corrected run starts a fresh plan
         assert run({}) == 0
@@ -180,7 +181,8 @@ class TestInteractions:
     (("interactions", "--problem", "stepped-column", "--segments", "1"),
      "needs at least two variables"),
     (("validate", "--problem", "sphere", "--dimension", "0"), "dimension must be >= 1"),
-], ids=["eta-negative", "eta-nan", "one-segment", "sphere-dimension-0"])
+    (("validate", "--config", "nosuch"), "config file not found: nosuch"),
+], ids=["eta-negative", "eta-nan", "one-segment", "sphere-dimension-0", "missing-config"])
 def test_bad_problem_arguments_exit_1_without_output(tmp_path, capsys, monkeypatch,
                                                      argv, message):
     monkeypatch.chdir(tmp_path)
@@ -188,6 +190,7 @@ def test_bad_problem_arguments_exit_1_without_output(tmp_path, capsys, monkeypat
     assert run_cli(*argv) == 1
     out, err = capsys.readouterr()
     assert "configuration error" in err and message in err
+    assert "frame config" not in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -219,7 +222,7 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         assert run_cli("validate", "--config", str(path)) == 1
         err = capsys.readouterr().err
-        assert "disjoint" in err and "group 2" in err
+        assert "disjoint" in err and "variable 2" in err
 
     def test_story_level_without_nodes_rejected_at_load(self, tmp_path, capsys):
         doc = dict(load_frame_config("frame-8story-1bay"))
@@ -294,9 +297,18 @@ class TestValidate:
          "supports[0].fix: expected a non-empty subset"),
         (lambda doc: doc["constraints"].update(interstory_index=None),
          "constraints.interstory_index: expected a number, got None"),
+        (lambda doc: doc["functioning"][0].update(group_ids=[0, 1, 2, 9]),
+         "functioning[0]: variables [9] outside 0..7"),
+        (lambda doc: doc["functioning"].append({"group_ids": [3, 4],
+                                                "heights_cm": [0.0, 609.6]}),
+         "functioning[1]: variable 3 is already in functioning[0] "
+         "(rules must be disjoint)"),
+        (lambda doc: doc["groups"][2].update(pool="w14"),
+         "functioning[0]: variables [2] do not share the domain of variable 0"),
     ], ids=["stress-without-limit", "negative-stress-limit", "drift-without-limit",
             "negative-interstory-index", "negative-roof-limit", "one-group-rule",
-            "empty-fix", "null-interstory-index"])
+            "empty-fix", "null-interstory-index", "rule-group-out-of-range",
+            "overlapping-rules", "rule-across-two-pools"])
     def test_config_errors_exit_1_at_load(self, tmp_path, capsys, edit, message):
         doc = load_frame_config("frame-8story-1bay")
         edit(doc)

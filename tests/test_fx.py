@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,11 @@ from framefx.fx import (
 from framefx.problems import Domain, SteppedColumnSpec, attach_fx, frame_problem, \
     stepped_column_problem
 from framefx.sections import SectionPool
+
+
+def continuous(n):
+    """n continuous variables on one interval."""
+    return tuple(Domain("continuous", 0.0, 1.0, label=f"x{i}") for i in range(n))
 
 
 class TestAlphaMax:
@@ -164,13 +170,54 @@ class TestRules:
     def test_overlapping_rules_rejected(self):
         r1 = FunctioningRule((0, 1, 2), (0.0, 1.0, 2.0))
         r2 = FunctioningRule((2, 3, 4), (0.0, 1.0, 2.0))
-        with pytest.raises(ValueError, match="overlap"):
-            reduced_dimension([r1, r2], 5)
+        with pytest.raises(ValueError, match=r"^functioning\[1\]: variable 2 is already "
+                                             r"in functioning\[0\] \(rules must be "
+                                             r"disjoint\)$"):
+            validate_rules([r1, r2], continuous(5))
 
     def test_out_of_range_ids_rejected(self):
         r = FunctioningRule((0, 7), (0.0, 1.0))
-        with pytest.raises(ValueError, match="outside"):
-            validate_rules([r], 5)
+        with pytest.raises(ValueError, match=r"^functioning\[0\]: variables \[7\] "
+                                             r"outside 0\.\.4$"):
+            validate_rules([r], continuous(5))
+
+    def test_every_problem_listed_at_once(self, small_pool, circ_pool):
+        domains = continuous(3) + (Domain("index", 0, 3, pool=small_pool),
+                                   Domain("index", 0, 3, pool=circ_pool))
+        rules = [FunctioningRule((0, 1, 9, 8), (0.0, 1.0, 2.0, 3.0)),
+                 FunctioningRule((1, 2), (0.0, 1.0)),
+                 FunctioningRule((3, 4, 2), (0.0, 1.0, 2.0))]
+        with pytest.raises(ValueError) as err:
+            validate_rules(rules, domains)
+        assert str(err.value).splitlines() == [
+            "functioning[0]: variables [9, 8] outside 0..4",
+            "functioning[1]: variable 1 is already in functioning[0] "
+            "(rules must be disjoint)",
+            "functioning[2]: variable 2 is already in functioning[1] "
+            "(rules must be disjoint)",
+            "functioning[2]: variables [4, 2] do not share the domain of variable 3",
+        ]
+
+    def test_index_rule_across_two_pools_rejected(self, small_pool, circ_pool):
+        # same kind and index range, different catalogs
+        domains = (Domain("index", 0, 3, pool=small_pool, label="a"),
+                   Domain("index", 0, 3, pool=small_pool, label="b"),
+                   Domain("index", 0, 3, pool=circ_pool, label="c"))
+        validate_rules([FunctioningRule((0, 1), (0.0, 1.0))], domains)
+        with pytest.raises(ValueError, match=r"^functioning\[0\]: variables \[2\] do "
+                                             r"not share the domain of variable 0$"):
+            validate_rules([FunctioningRule((0, 1, 2), (0.0, 1.0, 2.0))], domains)
+
+    def test_continuous_rule_across_two_bounds_rejected(self):
+        domains = continuous(2) + (Domain("continuous", 0.0, 2.0),)
+        with pytest.raises(ValueError, match=r"^functioning\[0\]: variables \[2\] do "
+                                             r"not share the domain of variable 1$"):
+            validate_rules([FunctioningRule((1, 0, 2), (0.0, 1.0, 2.0))], domains)
+
+    def test_reduced_dimension_does_not_validate(self):
+        # bookkeeping only: callers pass rules validate_rules accepted
+        r = FunctioningRule((0, 7), (0.0, 1.0))
+        assert reduced_dimension([r, r], 9) == 9
 
 
 class TestWrapObjective:
@@ -205,6 +252,13 @@ class TestWrapObjective:
         from framefx.problems import sphere_problem
         with pytest.raises(ValueError, match="no functioning rules"):
             attach_fx(sphere_problem())
+
+    def test_rules_checked_against_the_domains(self):
+        problem = stepped_column_problem(SteppedColumnSpec(segment_count=4))
+        domains = problem.domains[:3] + (Domain("continuous", 3.0, 40.0),)
+        with pytest.raises(ValueError, match=r"^functioning\[0\]: variables \[3\] do "
+                                             r"not share the domain of variable 0$"):
+            attach_fx(dataclasses.replace(problem, domains=domains))
 
     def test_double_reduction_rejected(self):
         problem = stepped_column_problem(SteppedColumnSpec(segment_count=5))

@@ -144,6 +144,24 @@ class TestFrameProblems:
             "functioning[0]: heights must start at 0 (the base section)",
         ]
 
+    def test_every_binding_problem_listed(self):
+        doc = load_frame_config("frame-8story-1bay")
+        doc["members"][2][1] = doc["members"][2][0]
+        doc["groups"][4]["pool"] = "w14"
+        doc["functioning"] = [{"group_ids": [0, 1, 8], "heights_cm": [0.0, 1.0, 2.0]},
+                              {"group_ids": [1, 2], "heights_cm": [0.0, 1.0]},
+                              {"group_ids": [3, 4], "heights_cm": [0.0, 1.0]}]
+        with pytest.raises(ConfigError) as err:
+            frame_problem(doc)
+        node = doc["members"][2][0]
+        assert err.value.problems == [
+            f"members[2]: zero length (nodes {node} and {node} coincide)",
+            "functioning[0]: variables [8] outside 0..7",
+            "functioning[1]: variable 1 is already in functioning[0] "
+            "(rules must be disjoint)",
+            "functioning[2]: variables [4] do not share the domain of variable 3",
+        ]
+
     def test_24story_columns_use_w14_pool(self):
         problem = frame_problem("frame-24story-3bay")
         for role, pool in zip(problem.frame.model.group_roles, problem.frame.pools):

@@ -11,6 +11,7 @@ from framefx.sections import (
     AREA,
     DEPTH,
     SectionPool,
+    SectionShape,
     SectionTableError,
     circular_properties,
     interpolated_properties,
@@ -109,6 +110,23 @@ class TestBundledCatalogs:
     def test_unknown_pool(self):
         with pytest.raises(KeyError):
             load_bundled_pool("hss")
+
+    @pytest.mark.parametrize("name, filename", [("w-all", "w_shapes.csv"),
+                                                ("w14", "w14_shapes.csv")])
+    def test_pool_is_names_and_table(self, name, filename):
+        from importlib import resources
+        with resources.files("framefx.data").joinpath(filename).open() as fh:
+            rows = {r[0]: r[1:] for r in list(csv.reader(fh))[1:]}
+        pool = load_bundled_pool(name)
+        assert not hasattr(pool, "shapes")
+        assert sorted(pool.names) == sorted(rows)
+        areas = [float(rows[n][0]) for n in pool.names]
+        assert areas == sorted(areas)
+        for i, shape in enumerate(pool):
+            assert shape == pool[i] == SectionShape(pool.names[i],
+                                                    *map(float, rows[pool.names[i]]))
+            assert all(type(v) is float for v in shape.row)
+            assert shape.row == tuple(pool.properties[i])
 
 
 class TestNearestArea:
