@@ -18,8 +18,8 @@ from .config import BUNDLED_CONFIGS, ConfigError
 from .fea import StructuralInstabilityError, analyze
 from .fx import STRATEGIES, reduced_dimension
 from .grouping import DEFAULT_ETA, interaction_matrix, render_matrix
-from .harness import ExperimentPlan, PlanMismatchError, build_problem, cell_name, \
-    default_cell_settings, load_records, mean_history, practicality_report, run_plan
+from .harness import ExperimentPlan, PlanMismatchError, build_problem, cell_histories, \
+    cell_name, default_cell_settings, load_records, practicality_report, run_plan
 from .optim import ALGORITHMS
 from .sections import SectionTableError, load_pool
 from .svgplot import line_chart
@@ -190,15 +190,9 @@ def cmd_plot(args) -> int:
         fig_dir = plan_dir / "figures"
         fig_dir.mkdir(exist_ok=True)
 
-        conv, infea = [], []
-        for algorithm, strategy in plan.cells():
-            cell = cell_name(algorithm, strategy)
-            try:
-                fe, best, frac = mean_history(records[cell])
-            except ValueError:  # no completed trial in this cell
-                continue
-            conv.append((cell, fe.tolist(), best.tolist()))
-            infea.append((cell, fe.tolist(), frac.tolist()))
+        histories = cell_histories(plan, records).items()
+        conv = [(cell, fe.tolist(), best.tolist()) for cell, (fe, best, _) in histories]
+        infea = [(cell, fe.tolist(), frac.tolist()) for cell, (fe, _, frac) in histories]
         line_chart(fig_dir / "convergence.svg", conv,
                    title=f"{plan.name}: mean best feasible objective",
                    xlabel="function evaluations", ylabel="objective")

@@ -152,6 +152,9 @@ def _entry_errors(model: FrameModel, nodes, members, levels, on_level) -> list:
     errors += [f"supports[{i}].fix: expected a non-empty subset of {DOF_NAMES}"
                for i, (_, fix) in enumerate(model.supports)
                if not fix or not all(d in DOF_NAMES for d in fix)]
+    fixed = {(node, dof) for node, fix in model.supports for dof in fix}
+    if all((node, dof) in fixed for node in range(len(nodes)) for dof in DOF_NAMES):
+        errors.append("supports: no degree of freedom is left free")
     each(outside(np.array([ld[0] for ld in model.loads], dtype=np.intp), len(nodes)),
          lambda i: f"loads[{i}].node: invalid index {model.loads[i][0]!r}")
 
@@ -316,8 +319,6 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
     """
     kernel = model._kernel
     block = _design(model, assignment)
-    if kernel.free.size == 0:
-        raise ValueError("model has no free degrees of freedom")
     lead = block.shape[:-2]
     stack = block.reshape(-1, *block.shape[-2:])
     area, inertia = stack[:, kernel.group, AREA], stack[:, kernel.group, INERTIA]
@@ -347,10 +348,9 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
         residual[r] = np.bincount(kernel.dofs.ravel(),
                                   np.einsum("mij,mj->mi", ke, u_members).ravel(),
                                   minlength=kernel.n_dof)
-        # equilibrium guard: reactions balance the applied loads, so the x
-        # and y components of K u sum to zero
-        imbalance = max(abs(residual[r, 0::3].sum()), abs(residual[r, 1::3].sum()))
-        if applied > 0 and imbalance > 1e-8 * max(applied, 1.0):
+        # equilibrium guard: K u matches the applied loads at the free DOFs
+        imbalance = np.abs(residual[r, kernel.free] - kernel.free_loads).max()
+        if imbalance > 1e-8 * max(applied, 1.0):
             raise kernel.instability(weakest)
         forces[r] = np.einsum("mij,mj->mi",
                               area[r, :, None, None] * kernel.forces_per_area

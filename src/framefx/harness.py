@@ -19,6 +19,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +42,7 @@ __all__ = [
     "run_plan",
     "improvement_vs_none",
     "mean_history",
+    "cell_histories",
     "practicality_report",
     "load_records",
 ]
@@ -105,7 +107,7 @@ class ExperimentPlan:
                 raise ValueError(f"each {kind} may be listed once, got {','.join(names)}")
         for a, s in self.cells():  # each cell must make a valid optimizer run
             OptimizerConfig(algorithm=a, population_size=self.population.get(s, 0),
-                            max_fe=self.max_fe.get(s, 0))
+                            max_fe=self.max_fe.get(s, 0), rng_seed=self.seed_base)
 
     def cells(self):
         return [(a, s) for a in self.algorithms for s in self.strategies]
@@ -189,13 +191,8 @@ def run_trial(problem_spec, algorithm, strategy, seed, population, max_fe) -> Ru
 
 
 def _trial_worker(args):
-    plan_doc, algorithm, strategy, seed, out = args
-    plan = ExperimentPlan.from_manifest(plan_doc)
-    record = run_trial(plan.problem_spec, algorithm, strategy, seed,
-                       plan.population[strategy], plan.max_fe[strategy])
-    path = Path(out) / cell_name(algorithm, strategy) / f"{seed}.json"
-    _atomic_write_json(path, dataclasses.asdict(record))
-    return str(path)
+    *trial, path = args
+    _atomic_write_json(path, dataclasses.asdict(run_trial(*trial)))
 
 
 def run_plan(plan: ExperimentPlan, out_root, jobs=1, echo=None):
@@ -226,20 +223,19 @@ def run_plan(plan: ExperimentPlan, out_root, jobs=1, echo=None):
         cell_dir = plan_dir / cell_name(algorithm, strategy)
         cell_dir.mkdir(exist_ok=True)
         for seed in plan.seeds():
-            if not (cell_dir / f"{seed}.json").exists():
-                pending.append((manifest, algorithm, strategy, seed, str(plan_dir)))
+            path = cell_dir / f"{seed}.json"
+            if not path.exists():
+                pending.append((plan.problem_spec, algorithm, strategy, seed,
+                                plan.population[strategy], plan.max_fe[strategy], path))
 
     if pending:
         workers = min(jobs, len(pending))
         echo(f"running {len(pending)} trials (jobs={workers})")
-        if workers > 1:
-            # a forked pool starts all its workers at the first submit
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for i, _ in enumerate(pool.map(_trial_worker, pending), 1):
-                    echo(f"  trial {i}/{len(pending)} done")
-        else:
-            for i, args in enumerate(pending, 1):
-                _trial_worker(args)
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 \
+                else nullcontext() as pool:
+            trials = pool.map if workers > 1 else map
+            for i, _ in enumerate(trials(_trial_worker, pending), 1):
                 echo(f"  trial {i}/{len(pending)} done")
 
     records = load_records(plan_dir, plan)
@@ -322,6 +318,18 @@ def mean_history(cell_records):
     return fe, mean_best, infeas.mean(axis=0)
 
 
+def cell_histories(plan: ExperimentPlan, records) -> dict:
+    """``mean_history`` of each cell with a completed trial, by cell name."""
+    histories = {}
+    for algorithm, strategy in plan.cells():
+        cell = cell_name(algorithm, strategy)
+        try:
+            histories[cell] = mean_history(records[cell])
+        except ValueError:  # no completed trial in this cell
+            continue
+    return histories
+
+
 def practicality_report(record: RunRecord, problem: Problem):
     """Per-column-stack monotonicity of a final frame design.
 
@@ -372,12 +380,7 @@ def _write_summary_csv(path, summaries):
 def _write_histories(plan_dir, plan, records):
     hist_dir = Path(plan_dir) / "histories"
     hist_dir.mkdir(exist_ok=True)
-    for algorithm, strategy in plan.cells():
-        cell = cell_name(algorithm, strategy)
-        try:
-            fe, best, infeas = mean_history(records[cell])
-        except ValueError:
-            continue
+    for cell, (fe, best, infeas) in cell_histories(plan, records).items():
         lines = ["fe,best,infeasible_fraction"]
         for k in range(fe.size):
             b = "" if np.isnan(best[k]) else repr(float(best[k]))

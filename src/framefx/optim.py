@@ -60,6 +60,8 @@ class OptimizerConfig:
                              "three donors plus the target)")
         if self.max_fe < self.population_size:
             raise ValueError("max_fe must cover at least the initial population")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

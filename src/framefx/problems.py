@@ -37,15 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Domain:
-    """One decision variable: a continuous interval or a catalog index range.
-    Domains are equal when they share a kind, bounds and pool, whatever
-    their labels."""
+    """One decision variable: a continuous interval or a catalog index range."""
 
     kind: str                      # "continuous" | "index"
     lower: float
     upper: float
     pool: SectionPool | None = None
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.kind not in ("continuous", "index"):
@@ -143,6 +140,8 @@ def stepped_column_problem(spec: SteppedColumnSpec | None = None) -> Problem:
     n = spec.segment_count
     moments = spec.moments
     rho_l_pi = spec.density * spec.segment_length * math.pi
+    # fixed penalty scale: worst-case weight, so the probe is stateless
+    penalty_scale = rho_l_pi * n * spec.radius_max**2
 
     def evaluate(x) -> Evaluation:
         r = np.asarray(x, dtype=float)
@@ -150,48 +149,13 @@ def stepped_column_problem(spec: SteppedColumnSpec | None = None) -> Problem:
         sigma = 4.0 * moments / (math.pi * r**3)
         return Evaluation(objective=weight, violations=sigma - spec.allowable_stress)
 
-    def decode(x):
-        return {"radii_cm": [float(v) for v in np.asarray(x, dtype=float)]}
-
-    domains = tuple(
-        Domain("continuous", spec.radius_min, spec.radius_max, label=f"r{i + 1}")
-        for i in range(n)
-    )
-    # one profile over the whole column
-    rules = (FunctioningRule(tuple(range(n)), tuple(spec.heights)),) if n >= 2 else ()
-    return Problem(
-        name=f"stepped-column-{n}",
-        domains=domains,
-        n_constraints=n,
-        evaluate=evaluate,
-        decode=decode,
-        rules=rules,
-        probe=_stepped_column_probe(spec),
-    )
-
-
-def _row_dot(a, b):
-    """Dot product of each row of ``a`` and ``b``: one BLAS dot per row, so a
-    row gets the same bits in any generation."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def _stepped_column_probe(spec: SteppedColumnSpec) -> Probe:
-    """Weight-plus-penalty relaxation for interaction analysis.
-
-    The penalty stress includes the axial term from the self-weight carried
-    by each segment (everything at and above it), which is what couples
-    every radius to the ones below it; the lateral-load bending term alone
-    is additive across segments and would hide the structure.
-    """
-    moments = spec.moments
-    lo = np.full(spec.segment_count, spec.radius_min)
-    hi = np.full(spec.segment_count, spec.radius_max)
-    rho_l_pi = spec.density * spec.segment_length * math.pi
-    # fixed penalty scale: worst-case weight, so the probe is stateless
-    penalty_scale = rho_l_pi * spec.segment_count * spec.radius_max**2
-
-    def f(x):
+    # weight-plus-penalty relaxation for interaction analysis; the penalty
+    # stress includes the axial term from the self-weight carried by each
+    # segment (everything at and above it), which is what couples every
+    # radius to the ones below it; the lateral-load bending term alone is
+    # additive across segments and would hide the structure; its weight keeps
+    # np.dot, whose bits the interaction matrices are built from
+    def probe_f(x):
         r = np.asarray(x, dtype=float)
         area = math.pi * r**2
         weight = rho_l_pi * float(np.dot(r, r))
@@ -201,7 +165,27 @@ def _stepped_column_probe(spec: SteppedColumnSpec) -> Probe:
         overshoot = np.maximum(sigma / spec.allowable_stress - 1.0, 0.0)
         return weight + penalty_scale * float(overshoot.sum())
 
-    return Probe(f=f, lower=lo, upper=hi)
+    def decode(x):
+        return {"radii_cm": [float(v) for v in np.asarray(x, dtype=float)]}
+
+    # one profile over the whole column
+    rules = (FunctioningRule(tuple(range(n)), tuple(spec.heights)),) if n >= 2 else ()
+    return Problem(
+        name=f"stepped-column-{n}",
+        domains=(Domain("continuous", spec.radius_min, spec.radius_max),) * n,
+        n_constraints=n,
+        evaluate=evaluate,
+        decode=decode,
+        rules=rules,
+        probe=Probe(f=probe_f, lower=np.full(n, spec.radius_min),
+                    upper=np.full(n, spec.radius_max)),
+    )
+
+
+def _row_dot(a, b):
+    """Dot product of each row of ``a`` and ``b``: one BLAS dot per row, so a
+    row gets the same bits in any generation."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def frame_problem(config_source) -> Problem:
@@ -213,11 +197,7 @@ def frame_problem(config_source) -> Problem:
     doc = load_frame_config(config_source)
     model, pools, cs, group_rules, defaults = build_frame(doc)
 
-    domains = tuple(
-        Domain("index", 0, len(pool) - 1, pool=pool,
-               label=doc["groups"][g].get("label", f"g{g}"))
-        for g, pool in enumerate(pools)
-    )
+    domains = tuple(Domain("index", 0, len(pool) - 1, pool=pool) for pool in pools)
     n_constraints = len(constraint_labels(model, cs))
 
     distinct = list(dict.fromkeys(pools))  # each pool once, in first-use order
@@ -304,12 +284,8 @@ def attach_fx(problem: Problem) -> Problem:
             lo, hi = base_dom.lower, base_dom.upper
         compiled.append((np.array(ids), np.array(rule.heights), base_dom,
                          len(reduced_domains)))
-        reduced_domains.append(Domain(base_dom.kind, base_dom.lower, base_dom.upper,
-                                      pool=base_dom.pool,
-                                      label=f"{base_dom.label or 'base'}"))
-        reduced_domains.append(Domain("continuous", 1.0,
-                                      alpha_max(lo, hi, rule.heights[-1]),
-                                      label="alpha"))
+        reduced_domains += [base_dom,
+                            Domain("continuous", 1.0, alpha_max(lo, hi, rule.heights[-1]))]
     reduced_domains.extend(problem.domains[i] for i in untouched)
     reduced_domains = tuple(reduced_domains)
     n_params = 2 * len(rules)
@@ -372,8 +348,7 @@ def sphere_problem(dimension=5, lower=-5.0, upper=5.0) -> Problem:
     hi = np.full(dimension, upper)
     return Problem(
         name=f"sphere-{dimension}",
-        domains=tuple(Domain("continuous", lower, upper, label=f"x{i}")
-                      for i in range(dimension)),
+        domains=(Domain("continuous", lower, upper),) * dimension,
         n_constraints=0,
         evaluate=evaluate,
         decode=lambda x: {"x": [float(v) for v in np.asarray(x, dtype=float)]},

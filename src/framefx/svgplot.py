@@ -40,6 +40,15 @@ def _ticks(lo, hi, target=6):
     return out or [lo]
 
 
+def _write_svg(path, w, h, body):
+    """Write the ``body`` elements as one SVG document on a white background."""
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+            f'viewBox="0 0 {w} {h}" font-family="sans-serif" font-size="12">',
+            f'<rect width="{w}" height="{h}" fill="white"/>']
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(head + body + ["</svg>"]) + "\n")
+
+
 def line_chart(path, series, title="", xlabel="", ylabel=""):
     """Write a multi-series line chart.
 
@@ -68,12 +77,7 @@ def line_chart(path, series, title="", xlabel="", ylabel=""):
     def py(y):
         return _MT + ph - (y - ylo) / (yhi - ylo) * ph
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-    ]
+    parts = [f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>']
     for t in _ticks(xlo, xhi):
         x = px(t)
         parts.append(f'<line x1="{_fmt(x)}" y1="{_MT + ph}" x2="{_fmt(x)}" '
@@ -103,10 +107,7 @@ def line_chart(path, series, title="", xlabel="", ylabel=""):
         parts.append(f'<line x1="{_ML + pw - 150}" y1="{ly}" x2="{_ML + pw - 126}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{_ML + pw - 120}" y="{ly + 4}">{label}</text>')
-
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, _W, _H, parts)
 
 
 def heatmap(path, values, title="", cell=None):
@@ -117,12 +118,7 @@ def heatmap(path, values, title="", cell=None):
     vmax = max((v for row in values for v in row), default=0.0)
     cell = cell or max(4, min(24, 480 // max(n_rows, n_cols, 1)))
     w, h = n_cols * cell + 40, n_rows * cell + 50
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<text x="{w / 2}" y="16" text-anchor="middle">{title}</text>',
-    ]
+    parts = [f'<text x="{w / 2}" y="16" text-anchor="middle">{title}</text>']
     for r, row in enumerate(values):
         for c, v in enumerate(row):
             frac = 0.0 if vmax <= 0 else max(0.0, min(1.0, v / vmax))
@@ -132,6 +128,4 @@ def heatmap(path, values, title="", cell=None):
                 f'height="{cell}" fill="rgb({level},{level},{level})" '
                 f'stroke="#ddd" stroke-width="0.5"/>'
             )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, w, h, parts)

@@ -54,6 +54,7 @@ class TestRun:
         ("--strategy", "none,none", "each strategy may be listed once"),
         ("--segments", "0", "segment_count must be >= 1"),
         ("--tip-load", "-1", "tip_load must be positive"),
+        ("--seed", "-1", "rng_seed must be >= 0, got -1"),
     ])
     def test_bad_arguments_exit_1_without_output(self, tmp_path, capsys, option,
                                                  value, message):
@@ -305,10 +306,13 @@ class TestValidate:
          "(rules must be disjoint)"),
         (lambda doc: doc["groups"][2].update(pool="w14"),
          "functioning[0]: variables [2] do not share the domain of variable 0"),
+        (lambda doc: doc.update(supports=[{"node": i, "fix": ["ux", "uy", "rot"]}
+                                          for i in range(len(doc["nodes"]))]),
+         "supports: no degree of freedom is left free"),
     ], ids=["stress-without-limit", "negative-stress-limit", "drift-without-limit",
             "negative-interstory-index", "negative-roof-limit", "one-group-rule",
             "empty-fix", "null-interstory-index", "rule-group-out-of-range",
-            "overlapping-rules", "rule-across-two-pools"])
+            "overlapping-rules", "rule-across-two-pools", "every-dof-fixed"])
     def test_config_errors_exit_1_at_load(self, tmp_path, capsys, edit, message):
         doc = load_frame_config("frame-8story-1bay")
         edit(doc)

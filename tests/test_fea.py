@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from framefx import fea
 from framefx.fea import (
     FrameModel,
     StructuralInstabilityError,
@@ -202,6 +203,22 @@ class TestInstability:
         )
         with pytest.raises(StructuralInstabilityError):
             analyze(model, (SHAPE,))
+
+    def test_wrong_solve_fails_equilibrium_guard(self, monkeypatch):
+        model, assignment = portal_frame(350.0, 600.0, circular_properties(9.0),
+                                         circular_properties(7.0),
+                                         ((2, 13.0, -40.0, 25.0), (3, -4.0, -17.0, 0.0)),
+                                         elastic_modulus=E)
+        analyze(model, assignment)
+        solve = fea.dpbtrs
+
+        def off_by_a_millionth(cb, b):  # K u != F, yet K u still sums to zero
+            u, info = solve(cb, b)
+            return u * (1 + 1e-6), info
+
+        monkeypatch.setattr(fea, "dpbtrs", off_by_a_millionth)
+        with pytest.raises(StructuralInstabilityError):
+            analyze(model, assignment)
 
 
 class TestMemberStress:

@@ -22,7 +22,7 @@ from framefx.sections import SectionPool
 
 def continuous(n):
     """n continuous variables on one interval."""
-    return tuple(Domain("continuous", 0.0, 1.0, label=f"x{i}") for i in range(n))
+    return (Domain("continuous", 0.0, 1.0),) * n
 
 
 class TestAlphaMax:
@@ -152,7 +152,7 @@ class TestRules:
     def test_alpha_bounds_validation(self):
         # alpha's bounds are a continuous Domain, which rejects an inverted range
         with pytest.raises(ValueError, match="empty domain"):
-            Domain("continuous", 1.0, 0.99, label="alpha")
+            Domain("continuous", 1.0, 0.99)
 
     def test_reduced_dimension_cases(self):
         # one 50-variable profile -> 2 parameters
@@ -200,9 +200,9 @@ class TestRules:
 
     def test_index_rule_across_two_pools_rejected(self, small_pool, circ_pool):
         # same kind and index range, different catalogs
-        domains = (Domain("index", 0, 3, pool=small_pool, label="a"),
-                   Domain("index", 0, 3, pool=small_pool, label="b"),
-                   Domain("index", 0, 3, pool=circ_pool, label="c"))
+        domains = (Domain("index", 0, 3, pool=small_pool),
+                   Domain("index", 0, 3, pool=small_pool),
+                   Domain("index", 0, 3, pool=circ_pool))
         validate_rules([FunctioningRule((0, 1), (0.0, 1.0))], domains)
         with pytest.raises(ValueError, match=r"^functioning\[0\]: variables \[2\] do "
                                              r"not share the domain of variable 0$"):
