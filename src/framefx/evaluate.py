@@ -118,29 +118,22 @@ class GMaxTracker:
     """
 
     def __init__(self):
-        self.gmax = None
-
-    def _ensure(self, n):
-        if self.gmax is None:
-            self.gmax = np.zeros(n)
+        self.gmax = 0.0
 
     def normalize(self, violations):
         """Normalized violation of one design (a float), or of each row of a
         (p, c) generation (a (p,) array)."""
         g = np.asarray(violations, dtype=float)
-        self._ensure(g.shape[-1])
         pos = np.maximum(g, 0.0)
-        denom = np.maximum(self.gmax, pos)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = np.where(pos > 0, pos / denom, 0.0)
+        ratios = np.divide(pos, np.maximum(self.gmax, pos), out=np.zeros_like(pos),
+                           where=pos > 0)
         total = ratios.sum(axis=-1)
         return float(total) if g.ndim == 1 else total
 
     def merge(self, violations_batch):
         """Fold a generation's violations, one row per design, into the snapshot."""
         g = np.asarray(violations_batch, dtype=float)
-        self._ensure(g.shape[-1])
-        np.maximum(self.gmax, np.maximum(g, 0.0).max(axis=0), out=self.gmax)
+        self.gmax = np.maximum(self.gmax, g.max(axis=0))
 
 
 def penalized_fitness(objective, normalized_violation_G, f_max_feasible) -> float:

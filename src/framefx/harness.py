@@ -192,7 +192,7 @@ def run_trial(problem_spec, algorithm, strategy, seed, population, max_fe) -> Ru
 
 def _trial_worker(args):
     *trial, path = args
-    _atomic_write_json(path, dataclasses.asdict(run_trial(*trial)))
+    _atomic_write_json(path, vars(run_trial(*trial)))
 
 
 def run_plan(plan: ExperimentPlan, out_root, jobs=1, echo=None):

@@ -2,7 +2,9 @@
 
 Both optimizers treat every variable as continuous; index-coded variables
 are rounded inside the problem's evaluation only.  Selection and best
-tracking use the feasibility rules (deb_compare).  Boundary handling
+tracking rank designs by the feasibility key (infeasible, value), where
+value is the objective of a feasible design and the normalized violation of
+an infeasible one: the order that deb_compare defines.  Boundary handling
 follows the usual scheme for each algorithm: DE clamps an out-of-bounds
 trial component back to the violated bound, PSO clamps the position and
 reverses that velocity component so the particle does not immediately
@@ -19,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import Evaluation, GMaxTracker, deb_compare
+# selection compares keys and no longer calls deb_compare, the pairwise
+# definition of the same order; the name stays bound for tools that patch it
+from .evaluate import Evaluation, GMaxTracker, deb_compare  # noqa: F401
 from .fx import STRATEGIES
 from .problems import Problem, attach_fx
 
@@ -127,28 +131,21 @@ def initialize_population(problem: Problem, config: OptimizerConfig,
 
 def reflect_at_bounds(positions, velocities, lower, upper):
     """Clamp positions into the box and reverse the velocity of every
-    component that crossed a bound.  Returns new (positions, velocities)."""
-    positions = np.array(positions, dtype=float)
-    velocities = np.array(velocities, dtype=float)
+    component that crossed a bound, both in place.  Returns (positions,
+    velocities)."""
     crossed = (positions < lower) | (positions > upper)
-    positions = np.clip(positions, lower, upper)
-    velocities[crossed] = -velocities[crossed]
+    np.clip(positions, lower, upper, out=positions)
+    np.negative(velocities, out=velocities, where=crossed)
     return positions, velocities
-
-
-def _argbest(ranked: Evaluation) -> int:
-    """Index of the first design no other design beats: what a sequential
-    scan that keeps the incumbent on ties would end on."""
-    unbeaten = (deb_compare(ranked[:, None], ranked) <= 0).all(axis=1)
-    return int(np.argmax(unbeaten))
 
 
 class _RunState:
     """Budget, violation normalization and history bookkeeping for one run.
 
-    A generation is held as arrays: objectives f (p,) and violations g
-    (p, c).  Normalized violations are computed only where designs are
-    compared, against the GMax snapshot that already holds the generation.
+    A generation is held as arrays: objectives f (p,), violations g (p, c)
+    and the feasibility mask infeasible (p,).  Normalized violations are
+    computed only where two infeasible designs are compared, against the
+    GMax snapshot that already holds the generation.
     """
 
     def __init__(self, problem, config, strategy, observers):
@@ -164,7 +161,7 @@ class _RunState:
 
     def evaluate(self, X):
         """Evaluate one generation in one call and fold its violations into
-        GMax.  Returns (f, g)."""
+        GMax.  Returns (f, g, infeasible)."""
         ev = self.problem.evaluate(X)
         self.fe_used += len(X)
         f = np.asarray(ev.objective, dtype=float)
@@ -174,28 +171,37 @@ class _RunState:
             raise ValueError(f"non-finite objective or violation at design "
                              f"{X[np.argmin(finite)].tolist()}")
         self.tracker.merge(g)
-        feasible = np.flatnonzero((g <= 0).all(axis=1))
-        if feasible.size:
-            i = feasible[np.argmin(f[feasible])]
+        infeasible = (g > 0).any(axis=1)
+        if not infeasible.all():
+            i = self.argbest(f, g, infeasible)
             if self.best_feasible is None or f[i] < self.best_feasible[1]:
                 self.best_feasible = (X[i].copy(), float(f[i]), g[i].copy())
-        return f, g
+        return f, g, infeasible
 
-    def ranked(self, f, g) -> Evaluation:
-        """The designs (f, g) normalized against the current GMax snapshot."""
-        return Evaluation(f, g, self.tracker.normalize(g))
+    def improved(self, held, new) -> np.ndarray:
+        """Rows where the new design's key is lexicographically smaller than
+        the held one's, both (f, g, infeasible) on the current GMax snapshot:
+        exactly where deb_compare(held, new) > 0."""
+        (f, g, infeasible), (new_f, new_g, new_infeasible) = held, new
+        if (infeasible & new_infeasible).any():
+            held_G, new_G = self.tracker.normalize(np.stack((g, new_g)))
+            f = np.where(infeasible, held_G, f)
+            new_f = np.where(new_infeasible, new_G, new_f)
+        return np.flatnonzero(np.where(infeasible == new_infeasible, new_f < f,
+                                       infeasible))
 
-    def improved(self, f, g, new_f, new_g) -> np.ndarray:
-        """Rows where the new design strictly beats the held one, both ranked
-        on the current GMax snapshot."""
-        both = self.ranked(np.r_[f, new_f], np.vstack((g, new_g)))
-        return np.flatnonzero(deb_compare(both[:len(f)], both[len(f):]) > 0)
+    def argbest(self, f, g, infeasible) -> int:
+        """Index of the first lexicographic minimum of the key: what a
+        sequential scan that keeps the incumbent on ties would end on."""
+        if infeasible.all():
+            return int(np.argmin(self.tracker.normalize(g)))
+        return int(np.argmin(np.where(infeasible, np.inf, f)))
 
     def remaining(self) -> int:
         return self.config.max_fe - self.fe_used
 
-    def record_history(self, g):
-        frac = float(np.mean(~(g <= 0).all(axis=1)))
+    def record_history(self, infeasible):
+        frac = np.count_nonzero(infeasible) / len(infeasible)
         best = None if self.best_feasible is None else self.best_feasible[1]
         self.best_history.append(best)
         self.infeasible_history.append(frac)
@@ -206,7 +212,7 @@ class _RunState:
     def make_record(self, fallback_vec, fallback_f, fallback_g) -> RunRecord:
         vec, f, g = self.best_feasible or (np.array(fallback_vec, dtype=float),
                                            fallback_f, fallback_g)
-        ev = self.ranked(f, g)
+        ev = Evaluation(f, g, self.tracker.normalize(g))
         problem = self.problem
         if problem.is_reduced:
             full_vec = problem.expand_full(vec)
@@ -245,12 +251,15 @@ def pso_run(problem: Problem, config: OptimizerConfig, observers=(),
     v_max = config.v_max_fraction * (upper - lower)
     V = np.zeros_like(X)
 
-    f, g = state.evaluate(X)
-    state.record_history(g)
+    f, g, infeasible = state.evaluate(X)
+    state.record_history(infeasible)
 
-    pbest_X, pbest_f, pbest_g = X.copy(), f.copy(), g.copy()
-    best = _argbest(state.ranked(f, g))
-    gbest_x, gbest_f, gbest_g = X[best].copy(), f[best], g[best].copy()
+    # row 0 holds the global best and rows 1.. the personal bests, so the
+    # global best heads every scan and survives ties
+    best = state.argbest(f, g, infeasible)
+    held = [np.insert(a, 0, a[best], axis=0) for a in (X, f, g, infeasible)]
+    best_X, best_f, best_g, best_infeasible = held
+    gbest_x, pbest_X = best_X[0], best_X[1:]
 
     while state.remaining() > 0:
         m = min(pop, state.remaining())
@@ -263,21 +272,20 @@ def pso_run(problem: Problem, config: OptimizerConfig, observers=(),
         X_new, V = reflect_at_bounds(X + V, V, lower, upper)
         # with a partial budget only the first m particles move this generation
         X[:m] = X_new[:m]
-        f[:m], g[:m] = state.evaluate(X[:m])
-        state.record_history(g)
+        f[:m], g[:m], infeasible[:m] = state.evaluate(X[:m])
+        state.record_history(infeasible)
 
-        better = state.improved(pbest_f[:m], pbest_g[:m], f[:m], g[:m])
-        pbest_X[better] = X[better]
-        pbest_f[better] = f[better]
-        pbest_g[better] = g[better]
-        # the global best heads the scan, so it survives ties
-        best = _argbest(state.ranked(np.r_[gbest_f, pbest_f[:m]],
-                                     np.vstack((gbest_g, pbest_g[:m]))))
+        better = state.improved(
+            (best_f[1:m + 1], best_g[1:m + 1], best_infeasible[1:m + 1]),
+            (f[:m], g[:m], infeasible[:m]))
+        for kept, new in zip(held, (X, f, g, infeasible)):
+            kept[better + 1] = new[better]
+        best = state.argbest(best_f[:m + 1], best_g[:m + 1], best_infeasible[:m + 1])
         if best:
-            gbest_x, gbest_f, gbest_g = (pbest_X[best - 1].copy(), pbest_f[best - 1],
-                                         pbest_g[best - 1].copy())
+            for kept in held:
+                kept[0] = kept[best]
 
-    return state.make_record(gbest_x, gbest_f, gbest_g)
+    return state.make_record(gbest_x, best_f[0], best_g[0])
 
 
 def de_run(problem: Problem, config: OptimizerConfig, observers=(),
@@ -294,8 +302,8 @@ def de_run(problem: Problem, config: OptimizerConfig, observers=(),
     pop, n = X.shape
     lower, upper = problem.lower, problem.upper
 
-    f, g = state.evaluate(X)
-    state.record_history(g)
+    f, g, infeasible = state.evaluate(X)
+    state.record_history(infeasible)
 
     while state.remaining() > 0:
         m = min(pop, state.remaining())
@@ -310,14 +318,13 @@ def de_run(problem: Problem, config: OptimizerConfig, observers=(),
         np.clip(mutants, lower, upper, out=mutants)  # return to the violated bound
         trials = np.where(cross, mutants, X[:m])
 
-        trial_f, trial_g = state.evaluate(trials)
-        won = state.improved(f[:m], g[:m], trial_f, trial_g)
-        X[won] = trials[won]
-        f[won] = trial_f[won]
-        g[won] = trial_g[won]
-        state.record_history(g)
+        trial = state.evaluate(trials)
+        won = state.improved((f[:m], g[:m], infeasible[:m]), trial)
+        for kept, new in zip((X, f, g, infeasible), (trials, *trial)):
+            kept[won] = new[won]
+        state.record_history(infeasible)
 
-    best = _argbest(state.ranked(f, g))
+    best = state.argbest(f, g, infeasible)
     return state.make_record(X[best], f[best], g[best])
 
 

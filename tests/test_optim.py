@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framefx.optim import (
     OptimizerConfig,
     _RunState,
-    _argbest,
     _rng_streams,
     de_run,
     initialize_population,
@@ -79,8 +79,8 @@ class TestBoundaryHandling:
         pos = np.array([[0.2, 0.8]])
         vel = np.array([[0.1, -0.1]])
         new_pos, new_vel = reflect_at_bounds(pos, vel, np.zeros(2), np.ones(2))
-        assert np.array_equal(new_pos, pos)
-        assert np.array_equal(new_vel, vel)
+        assert new_pos.tolist() == [[0.2, 0.8]]
+        assert new_vel.tolist() == [[0.1, -0.1]]
 
     def test_zero_velocity_cap_freezes_pso(self):
         # with the velocity cap at zero no particle can move, so the best
@@ -156,8 +156,8 @@ class TestBestTracking:
         problem = stepped_column_problem(SteppedColumnSpec(segment_count=6))
         state = _RunState(problem, config(pop=4, max_fe=8), "none", ())
         X = np.full((4, 6), 50.0)                     # stiffest: all feasible
-        f, g = state.evaluate(X)
-        f[:], g[:] = state.evaluate(np.full((4, 6), 3.0))   # all infeasible
+        f, g, infeasible = state.evaluate(X)
+        f[:], g[:], infeasible[:] = state.evaluate(np.full((4, 6), 3.0))  # all infeasible
         record = state.make_record(X[0], f[0], g[0])
         ev = problem.evaluate(np.array(record.final_vector))
         assert record.final_feasible
@@ -212,20 +212,59 @@ class TestInitialization:
             initialize_population(full, config(), strategy="cheat")
 
 
+def _state_with_snapshot(gmax):
+    """A run state whose GMax snapshot is ``gmax``."""
+    state = _RunState(sphere_problem(dimension=2), config(pop=4, max_fe=8), "none", ())
+    state.tracker.gmax = gmax
+    return state
+
+
+def _ranked(state, f, g):
+    return Evaluation(f, g, state.tracker.normalize(g))
+
+
+def _sequential_best(ranked):
+    """Where a scan that keeps the incumbent on ties ends."""
+    best = 0
+    for i in range(1, len(ranked.objective)):
+        if deb_compare(ranked[best], ranked[i]) > 0:
+            best = i
+    return best
+
+
+@st.composite
+def _generations(draw, count):
+    """A GMax snapshot and ``count`` same-size generations (f, g) of small
+    integers, so that feasibility is mixed and ties are common."""
+    p = draw(st.integers(1, 12))
+    ints = st.integers(-1, 3)
+    snapshot = draw(hnp.arrays(float, 3, elements=st.integers(0, 4)))
+    return snapshot, [(draw(hnp.arrays(float, p, elements=ints)),
+                       draw(hnp.arrays(float, (p, 3), elements=ints)))
+                      for _ in range(count)]
+
+
 class TestArgbest:
-    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(1, 3)),
-                    min_size=1, max_size=15))
-    def test_matches_sequential_scan(self, rows):
-        # small integer values so ties decide often
-        feasible, obj, g = (np.array(c) for c in zip(*rows))
-        ranked = Evaluation(objective=obj.astype(float),
-                            violations=np.where(feasible, -1.0, 1.0)[:, None],
-                            normalized_violation=g.astype(float))
-        best = 0
-        for i in range(1, len(rows)):
-            if deb_compare(ranked[best], ranked[i]) > 0:
-                best = i
-        assert _argbest(ranked) == best
+    @given(_generations(1))
+    def test_matches_sequential_scan(self, drawn):
+        snapshot, [(f, g)] = drawn
+        state = _state_with_snapshot(snapshot)
+        assert state.argbest(f, g, (g > 0).any(axis=1)) == \
+            _sequential_best(_ranked(state, f, g))
+
+
+class TestSelectionKeys:
+    """Selection ranks by the key (infeasible, value); it must give exactly
+    the decisions of the pairwise deb_compare on the same snapshot."""
+
+    @given(_generations(2))
+    def test_improved_matches_deb_compare(self, drawn):
+        snapshot, ((f, g), (new_f, new_g)) = drawn
+        state = _state_with_snapshot(snapshot)
+        expected = deb_compare(_ranked(state, f, g), _ranked(state, new_f, new_g)) > 0
+        held = (f, g, (g > 0).any(axis=1))
+        new = (new_f, new_g, (new_g > 0).any(axis=1))
+        assert state.improved(held, new).tolist() == np.flatnonzero(expected).tolist()
 
 
 class TestNonFiniteGuard:
