@@ -14,6 +14,7 @@ import json
 import math
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 from .evaluate import ConstraintSet
 from .fea import FrameModel
@@ -250,8 +251,7 @@ def build_frame(doc):
         raise ConfigError(errs)
 
     opt = doc.get("optimization", {})
-    defaults = {
-        "population": dict(opt.get("population", {})),
-        "max_fe": dict(opt.get("max_fe", {})),
-    }
+    # read-only at both levels, as every problem of a bundled frame shares them
+    defaults = MappingProxyType({key: MappingProxyType(dict(opt.get(key, {})))
+                                 for key in ("population", "max_fe")})
     return model, pools, cs, rules, defaults

@@ -95,12 +95,6 @@ class Evaluation:
     def __post_init__(self):
         self.violations = np.asarray(self.violations, dtype=float)
 
-    def __getitem__(self, rows) -> "Evaluation":
-        """The designs at ``rows`` of a population."""
-        g = self.normalized_violation
-        return Evaluation(self.objective[rows], self.violations[rows],
-                          None if g is None else g[rows])
-
     @property
     def feasible(self):
         """Whether every constraint holds; one bool per design of a population."""

@@ -250,6 +250,9 @@ class _Kernel:
 
         self.level_weights = on_level / on_level.sum(axis=1)[:, None]
         self.story_heights = np.diff(np.concatenate(([0.0], levels)))
+        for value in vars(self).values():  # one model may serve many problems
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def _bandwidth(self, free) -> int:
         """Half-bandwidth of the stiffness matrix with the free DOFs numbered

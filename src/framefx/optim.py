@@ -35,7 +35,6 @@ __all__ = [
     "pso_run",
     "de_run",
     "run_optimizer",
-    "reflect_at_bounds",
 ]
 
 ALGORITHMS = ("pso", "de")

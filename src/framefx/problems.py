@@ -11,13 +11,14 @@ call, each design with the same bits in any generation.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import fea
-from .config import build_frame, load_frame_config
+from .config import BUNDLED_CONFIGS, build_frame, load_frame_config
 from .evaluate import Evaluation, constraint_labels, constraint_values
 from .fx import FunctioningRule, alpha_max, expand_continuous, expand_discrete, \
     reduced_dimension, validate_rules
@@ -98,7 +99,7 @@ class FrameContext:
     model: fea.FrameModel
     pools: tuple
     constraint_set: object
-    strategy_defaults: dict
+    strategy_defaults: object     # read-only mapping: population, max_fe
 
 
 @dataclass(frozen=True)
@@ -191,10 +192,26 @@ def _row_dot(a, b):
 def frame_problem(config_source) -> Problem:
     """Discrete frame design problem from a config file, bundled name or dict.
 
-    A design is scored as one (G, k) section-property block, gathered from
-    the frame's stacked pool tables or interpolated in them by the probe.
+    A bundled frame is compiled once per process, and each call gets a new
+    Problem and Probe around its read-only parts; a path or a dict may
+    change between calls, so it is loaded and compiled on every call.
     """
-    doc = load_frame_config(config_source)
+    name = None if isinstance(config_source, dict) else str(config_source)
+    if name in BUNDLED_CONFIGS:
+        shared = _bundled_frame(name)
+        return replace(shared, probe=replace(shared.probe))
+    return _compile_frame(load_frame_config(config_source))
+
+
+@functools.cache
+def _bundled_frame(name) -> Problem:
+    return _compile_frame(load_frame_config(name))
+
+
+def _compile_frame(doc) -> Problem:
+    """The problem of a checked config doc.  A design is scored as one (G, k)
+    section-property block, gathered from the frame's stacked pool tables or
+    interpolated in them by the probe."""
     model, pools, cs, group_rules, defaults = build_frame(doc)
 
     domains = tuple(Domain("index", 0, len(pool) - 1, pool=pool) for pool in pools)
@@ -231,6 +248,8 @@ def frame_problem(config_source) -> Problem:
     penalty_scale = 2.0 * fea.frame_weight(model, table[offset + upper])
     probe_lo = np.array([pool.min_area for pool in pools])
     probe_hi = np.array([pool.max_area for pool in pools])
+    for array in (table, offset, upper, probe_lo, probe_hi):
+        array.flags.writeable = False
 
     def probe_f(areas):
         areas = np.asarray(areas, dtype=float)

@@ -74,12 +74,16 @@ class TestDebCompare:
                               violations=np.where(feasible, -1.0, 1.0)[:, None],
                               normalized_violation=g.astype(float))
 
+        def row(ev, i):
+            return Evaluation(ev.objective[i], ev.violations[i], ev.normalized_violation[i])
+
         cols = list(zip(*rows))
         a, b = batch(cols[:3]), batch(cols[3:])
+        pairs = [(row(a, i), row(b, i)) for i in range(len(rows))]
         order = deb_compare(a, b)
-        assert order.tolist() == [deb_compare(a[i], b[i]) for i in range(len(rows))]
-        for i in range(len(rows)):
-            assert deb_compare(a[i], b[i]) == _tuple_key_oracle(a[i], b[i])
+        assert order.tolist() == [deb_compare(x, y) for x, y in pairs]
+        for x, y in pairs:
+            assert deb_compare(x, y) == _tuple_key_oracle(x, y)
 
 
 def _tuple_key_oracle(a, b):

@@ -82,18 +82,6 @@ def test_rows_match_single_designs_and_the_oracle(name, p, seed):
         np.testing.assert_array_equal(g, g_oracle)
 
 
-def test_rows_of_a_bare_evaluation():
-    # a bare evaluation carries no normalized violation, nor do its rows
-    prob, _ = problem("column")
-    X = generation(prob, "column", np.random.default_rng(3), 5)
-    ev = prob.evaluate(X)
-    for r in (0, slice(1, 4), np.array([4, 0])):
-        rows = ev[r]
-        assert rows.normalized_violation is None
-        np.testing.assert_array_equal(rows.objective, ev.objective[r])
-        np.testing.assert_array_equal(rows.violations, ev.violations[r])
-
-
 def _unstable(block, group, scale):
     """``block`` with one column group's area and inertia scaled down."""
     out = block.copy()

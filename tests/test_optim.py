@@ -225,9 +225,13 @@ def _ranked(state, f, g):
 
 def _sequential_best(ranked):
     """Where a scan that keeps the incumbent on ties ends."""
+    def row(i):
+        return Evaluation(ranked.objective[i], ranked.violations[i],
+                          ranked.normalized_violation[i])
+
     best = 0
     for i in range(1, len(ranked.objective)):
-        if deb_compare(ranked[best], ranked[i]) > 0:
+        if deb_compare(row(best), row(i)) > 0:
             best = i
     return best
 
