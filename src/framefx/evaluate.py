@@ -200,11 +200,11 @@ def _joint_stiffness_ratios(kernel, members):
     (..., n); ``members`` holds each member's section properties, (..., m, k)."""
     stiff = np.repeat(members[..., INERTIA] / kernel.length, 2, axis=-1)
     n = kernel.supported.size
-    sums = np.zeros(stiff.shape[:-1] + (2 * n,))
-    # member ends in order a0, b0, a1, ...: column ends sum into their node's
-    # bin, beam ends into the bin n past it
-    np.add.at(sums, (..., kernel.ends.ravel() + n * ~np.repeat(kernel.is_column, 2)),
-              stiff)
+    designs = stiff.reshape(-1, stiff.shape[-1])
+    # one bincount over every design, each summing into its own 2n bins
+    bins = kernel.joint_bins + 2 * n * np.arange(len(designs))[:, None]
+    sums = np.bincount(bins.ravel(), designs.ravel(), minlength=designs.shape[0] * 2 * n)
+    sums = sums.reshape(stiff.shape[:-1] + (2 * n,))
     col, beam = sums[..., :n], sums[..., n:]
     with np.errstate(divide="ignore", invalid="ignore"):
         joint = np.where(beam > 0, col / beam, 10.0)
@@ -216,9 +216,10 @@ def _member_k_factors(kernel, members, cs: ConstraintSet):
     if cs.k_mode == "fixed":
         return kernel.k_factor
     ratios = _joint_stiffness_ratios(kernel, members)
-    a, b = kernel.ends.T
-    return np.where(kernel.is_column,
-                    effective_length_factor_sway(ratios[..., a], ratios[..., b]), 1.0)
+    a, b = kernel.ends[kernel.columns].T
+    k = np.ones(ratios.shape[:-1] + kernel.is_column.shape)
+    k[..., kernel.columns] = effective_length_factor_sway(ratios[..., a], ratios[..., b])
+    return k
 
 
 def constraint_values(model: FrameModel, assignment, result: AnalysisResult,

@@ -36,7 +36,7 @@ DOF_NAMES = ("ux", "uy", "rot")
 LEVEL_TOL = 1e-6  # cm; a node within this of a story level lies on it
 # names the solver that produced a result; stored with experiment records,
 # whose last bits depend on it
-KERNEL_ID = "banded-cholesky-1"
+KERNEL_ID = "banded-cholesky-2"
 
 # rows of the local end-force vector reported per member, in the order of
 # AnalysisResult.member_forces columns
@@ -179,8 +179,15 @@ class _Kernel:
     """One FrameModel compiled to arrays.
 
     A member's stiffness is linear in its section's area A and inertia I,
-    so each member is stored as its global stiffness and end-force rows per
-    unit A and per unit I, rotated once here; a design only scales them.
+    so each member is stored as its global stiffness per unit A and per
+    unit I, rotated once here; a design only scales them.  The area term is
+    nonzero in few entries (4 of 36 for a member along x or y), so
+    ``area_at`` holds their flat indices into the (m, 6, 6) stack,
+    ``area_values`` their values and ``area_member`` their members.
+    ``force_rotation`` holds the rows of each member's rotation that turn
+    its global end forces into the reported local ones; ``forces_per_area``
+    and ``forces_per_inertia`` keep those local rows per unit A and I, the
+    per-design route to the same forces.
     ``free`` lists the free DOFs in the model's numbering, or in node (y, x)
     order where that narrows the band, and ``band_src``/``band_dst`` scatter
     the upper triangle of every element matrix straight into column-major
@@ -203,6 +210,11 @@ class _Kernel:
                                         minlength=model.n_groups)
         self.is_column = np.array([r == "column" for r in model.group_roles],
                                   dtype=bool)[self.group]
+        self.columns = np.flatnonzero(self.is_column)
+        # sway K factors: member ends in order a0, b0, a1, ...; column ends
+        # sum into their node's bin, beam ends into the bin n past it
+        self.joint_bins = self.ends.ravel() \
+            + len(nodes) * ~np.repeat(self.is_column, 2)
         self.k_factor = np.array(model.group_k_factors or (1.0,) * model.n_groups,
                                  dtype=float)[self.group]
 
@@ -215,6 +227,10 @@ class _Kernel:
         self.stiffness_per_inertia = t_inv @ k_inertia
         self.forces_per_area = k_area[:, _FORCE_ROWS]
         self.forces_per_inertia = k_inertia[:, _FORCE_ROWS]
+        self.force_rotation = t[:, _FORCE_ROWS]
+        self.area_at = np.flatnonzero(self.stiffness_per_area)
+        self.area_values = self.stiffness_per_area.ravel()[self.area_at]
+        self.area_member = self.area_at // 36
 
         self.n_dof = 3 * len(model.nodes)
         self.dofs = np.concatenate([3 * self.ends[:, :1] + np.arange(3),
@@ -264,9 +280,12 @@ class _Kernel:
         return int(spread.max(initial=0))
 
     def element_stiffness(self, area, inertia) -> np.ndarray:
-        """Global stiffness of each member, (m, 6, 6)."""
-        return area[:, None, None] * self.stiffness_per_area \
-            + inertia[:, None, None] * self.stiffness_per_inertia
+        """Global stiffness of each member, (m, 6, 6): the bits of
+        ``A * stiffness_per_area + I * stiffness_per_inertia``, as a skipped
+        area term is an exact zero."""
+        ke = inertia[:, None, None] * self.stiffness_per_inertia
+        ke.reshape(-1)[self.area_at] += area[self.area_member] * self.area_values
+        return ke
 
     def instability(self, free_index) -> StructuralInstabilityError:
         dof = int(self.free[min(free_index, self.free.size - 1)])
@@ -346,19 +365,16 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
             raise kernel.instability(weakest)
 
         u[r][kernel.free] = dpbtrs(cb, kernel.free_loads)[0]
-        u_members = u[r][kernel.dofs]
+        end_forces = np.einsum("mij,mj->mi", ke, u[r][kernel.dofs])
         # K u summed from the element end forces, fixed DOFs included
-        residual[r] = np.bincount(kernel.dofs.ravel(),
-                                  np.einsum("mij,mj->mi", ke, u_members).ravel(),
+        residual[r] = np.bincount(kernel.dofs.ravel(), end_forces.ravel(),
                                   minlength=kernel.n_dof)
         # equilibrium guard: K u matches the applied loads at the free DOFs
         imbalance = np.abs(residual[r, kernel.free] - kernel.free_loads).max()
         if imbalance > 1e-8 * max(applied, 1.0):
             raise kernel.instability(weakest)
-        forces[r] = np.einsum("mij,mj->mi",
-                              area[r, :, None, None] * kernel.forces_per_area
-                              + inertia[r, :, None, None] * kernel.forces_per_inertia,
-                              u_members)
+        # the end forces rotated to the member axis
+        forces[r] = np.einsum("mij,mj->mi", kernel.force_rotation, end_forces)
 
     ux = u[:, 0::3]
     # one matrix-vector product per design: the same bits as a design alone

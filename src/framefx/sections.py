@@ -94,7 +94,10 @@ class SectionPool:
     Ties in area are broken by ascending depth, then name, so the ordering
     is total and reproducible.  ``properties`` is the read-only (n, k) table
     in PROPERTIES column order, column-major; ``pool[i]`` is row i as a
-    SectionShape.  Safe for concurrent read.
+    SectionShape.  ``slopes`` is the read-only (n, k) table of each
+    property's slope in area from row i to row i + 1, as ``np.interp``
+    computes it, with 0 for the last row and between equal areas.  Safe for
+    concurrent read.
     """
 
     def __init__(self, shapes, label=""):
@@ -104,7 +107,11 @@ class SectionPool:
         self.names = tuple(s.name for s in shapes)
         self.label = label
         self.properties = np.array([s.row for s in shapes], order="F")
-        self.properties.flags.writeable = False
+        rise, run = np.diff(self.properties, axis=0), np.diff(self.areas)[:, None]
+        self.slopes = np.zeros_like(self.properties)
+        np.divide(rise, run, out=self.slopes[:-1], where=run > 0)
+        for table in (self.properties, self.slopes):
+            table.flags.writeable = False
 
     def __len__(self):
         return len(self.names)
@@ -240,9 +247,13 @@ def interpolated_properties(pool: SectionPool, area) -> np.ndarray:
     """
     areas = pool.areas
     a = np.clip(area, areas[0], areas[-1])
-    # area is the first column
-    return np.stack([a] + [np.interp(a, areas, column)
-                           for column in pool.properties.T[1:]], axis=-1)
+    # np.interp's arithmetic: the last row j at or below a, taken as it is
+    # where a equals its area and continued along its slope above it
+    j = np.searchsorted(areas, a, side="right") - 1
+    row, offset = pool.properties[j], (a - areas[j])[..., None]
+    rows = np.where(offset == 0, row, pool.slopes[j] * offset + row)
+    rows[..., AREA] = a
+    return rows
 
 
 def property_block(assignment) -> np.ndarray:

@@ -22,6 +22,7 @@ from framefx.evaluate import VALID_FAMILIES, ConstraintSet, column_critical_stre
 from framefx.fea import FrameModel, StructuralInstabilityError, analyze, \
     constrained_stiffness, frame_weight
 from framefx.problems import frame_problem
+from framefx.sections import AREA, INERTIA, property_block
 
 from conftest import make_shape, vertical_column
 
@@ -115,6 +116,19 @@ class TestKernelAgainstDenseOracle:
         K = constrained_stiffness(model, assignment)
         np.testing.assert_allclose(K, K.T, rtol=0, atol=1e-12 * np.abs(K).max())
         assert_close(K, oracle.constrained_stiffness(model, assignment))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_frames())
+    def test_element_stiffness_has_the_bits_of_the_dense_sum(self, frame):
+        # the area term is added only at its nonzero entries; a skipped
+        # term is an exact zero, so each entry keeps its bits, zero signs too
+        model, assignment = frame
+        kernel = model._kernel
+        members = property_block(assignment)[kernel.group]
+        area, inertia = members[:, AREA], members[:, INERTIA]
+        dense = area[:, None, None] * kernel.stiffness_per_area \
+            + inertia[:, None, None] * kernel.stiffness_per_inertia
+        assert kernel.element_stiffness(area, inertia).tobytes() == dense.tobytes()
 
     def test_node_shuffled_bundled_frame(self):
         # the solution, carried through the permutation, must not change

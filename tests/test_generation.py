@@ -58,7 +58,7 @@ def generation(prob, name, rng, p):
 
 @pytest.mark.parametrize("name", [
     "frame-8story-1bay", "frame-8story-1bay:fx",
-    "frame-24story-3bay", "frame-24story-3bay:fx",
+    "frame-15story-3bay", "frame-24story-3bay", "frame-24story-3bay:fx",
     "column", "column:ifx", "column:fx", "sphere",
 ])
 @settings(max_examples=8, deadline=None)

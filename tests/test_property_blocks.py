@@ -14,7 +14,7 @@ from framefx import fea
 from framefx.config import load_frame_config
 from framefx.evaluate import constraint_values
 from framefx.problems import frame_problem
-from framefx.sections import PROPERTIES, SectionPool, circular_properties, \
+from framefx.sections import PROPERTIES, SectionPool, SectionShape, circular_properties, \
     interpolated_properties, load_bundled_pool, property_block
 
 from fea_oracle import interpolated_shape, member_values, round_indices
@@ -80,6 +80,64 @@ class TestInterpolation:
             expected = list(interpolated_shape(pool, a).row)
             assert row.tolist() == expected
             assert interpolated_properties(pool, a).tolist() == expected
+
+
+def interp_reference(pool, area):
+    """Each property column by np.interp at the clamped area: the
+    interpolation that the pool's slope table replaced."""
+    areas = pool.areas
+    a = np.clip(area, areas[0], areas[-1])
+    return np.stack([a] + [np.interp(a, areas, column)
+                           for column in pool.properties.T[1:]], axis=-1)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(POOLS))
+class TestAgainstNpInterp:
+    def test_random_areas_ends_and_repeats(self, name):
+        pool = POOLS[name]
+        a = pool.areas
+        repeated = a[1:][a[1:] == a[:-1]]
+        areas = np.concatenate([
+            np.random.default_rng(6).uniform(a[0] / 2.0, 2.0 * a[-1], 2000),
+            a[[0, -1]], np.nextafter(a[[0, -1]], np.inf), np.nextafter(a[[0, -1]], 0.0),
+            repeated, np.nextafter(repeated, np.inf), np.nextafter(repeated, 0.0)])
+        assert_same_bits(interpolated_properties(pool, areas),
+                         interp_reference(pool, areas))
+        assert_same_bits(interpolated_properties(pool, areas.reshape(-1, 2)),
+                         interp_reference(pool, areas.reshape(-1, 2)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_single_areas(self, name, p, seed):
+        # each row gets the bits its area gets alone, in any batch size and order
+        pool = POOLS[name]
+        rng = np.random.default_rng(seed)
+        areas = np.where(rng.random(p) < 0.3, rng.choice(pool.areas, p),
+                         rng.uniform(pool.min_area / 2.0, 2.0 * pool.max_area, p))
+        order = rng.permutation(p)
+        batch = interpolated_properties(pool, areas)
+        assert_same_bits(interpolated_properties(pool, areas[order]), batch[order])
+        for a, row in zip(areas, batch):
+            assert_same_bits(interpolated_properties(pool, a), row)
+            assert_same_bits(interpolated_properties(pool, float(a)), row)
+
+
+def test_catalog_area_takes_its_row_where_the_slope_overflows():
+    # np.interp takes the row itself at a catalog area, where slope * 0
+    # would be nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [(1.0, 1.0), (np.nextafter(1.0, 2.0), 1e300), (2.0, 1e300)]
+        pool = SectionPool([SectionShape(f"S{i}", area, 1.0, 1.0, 1.0, 1.0, 1.0, depth)
+                            for i, (area, depth) in enumerate(rows)])
+        assert np.isinf(pool.slopes[0, -1])
+        areas = np.concatenate([pool.areas, [1.5]])
+        assert_same_bits(interpolated_properties(pool, areas),
+                         interp_reference(pool, areas))
 
 
 class TestRounding:
