@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from framefx.harness import (
     run_plan,
 )
 from framefx.evaluate import Evaluation
+from framefx.fx import STRATEGIES
 from framefx.optim import RunRecord
 from framefx.problems import attach_fx, frame_problem
 
@@ -162,6 +164,27 @@ class TestRunPlan:
         _, _, n_new = run_plan(tiny_plan(trials=1, algorithms=("de",)),
                                tmp_path / "one", jobs=500)
         assert n_new == 1 and started == [3]  # a single trial runs without a pool
+
+    def test_interrupted_plan_resumes_to_the_same_bytes(self, tmp_path):
+        plan = ExperimentPlan(
+            name="f8", problem_spec={"kind": "frame", "config": "frame-8story-1bay"},
+            trials=3, population={s: 8 for s in STRATEGIES},
+            max_fe={s: 40 for s in STRATEGIES})
+        run_plan(plan, tmp_path / "whole", jobs=1)
+        shutil.copytree(tmp_path / "whole", tmp_path / "cut")
+        cut = tmp_path / "cut" / "f8"
+        for removed in ("pso-none/0.json", "de-ifx/2.json", "de-fx/1.json",
+                        "summary.csv"):
+            (cut / removed).unlink()
+        _, _, n_new = run_plan(plan, tmp_path / "cut", jobs=2)
+        assert n_new == 3
+        whole = sorted(p.relative_to(tmp_path / "whole")
+                       for p in (tmp_path / "whole").rglob("*") if p.is_file())
+        assert whole == sorted(p.relative_to(tmp_path / "cut")
+                               for p in (tmp_path / "cut").rglob("*") if p.is_file())
+        for rel in whole:
+            assert (tmp_path / "cut" / rel).read_bytes() == \
+                (tmp_path / "whole" / rel).read_bytes(), rel
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         plan = tiny_plan(trials=2, algorithms=("de",))
