@@ -21,6 +21,7 @@ from .grouping import DEFAULT_ETA, interaction_matrix, render_matrix
 from .harness import ExperimentPlan, PlanMismatchError, build_problem, cell_histories, \
     cell_name, default_cell_settings, load_records, practicality_report, run_plan
 from .optim import ALGORITHMS
+from .problems import SteppedColumnSpec
 from .sections import SectionTableError, load_pool
 from .svgplot import line_chart
 
@@ -28,19 +29,20 @@ PROBLEM_CHOICES = ("stepped-column", "sphere")
 
 
 def _add_problem_args(p, with_seed=True):
+    column = SteppedColumnSpec  # its field defaults are the column options' defaults
     p.add_argument("--problem", choices=PROBLEM_CHOICES,
                    help="built-in problem (use --config for frames)")
     p.add_argument("--config", help="frame config path or bundled name: "
                    + ", ".join(sorted(BUNDLED_CONFIGS)))
-    p.add_argument("--segments", type=int, default=50,
+    p.add_argument("--segments", type=int, default=column.segment_count,
                    help="stepped column: number of segments")
-    p.add_argument("--segment-length", type=float, default=10.0,
+    p.add_argument("--segment-length", type=float, default=column.segment_length,
                    help="stepped column: segment length, cm")
-    p.add_argument("--tip-load", type=float, default=10.0,
+    p.add_argument("--tip-load", type=float, default=column.tip_load,
                    help="stepped column: lateral tip load, kN")
-    p.add_argument("--allowable-stress", type=float, default=16.0,
+    p.add_argument("--allowable-stress", type=float, default=column.allowable_stress,
                    help="stepped column: allowable bending stress, kN/cm^2")
-    p.add_argument("--density", type=float, default=0.00785,
+    p.add_argument("--density", type=float, default=column.density,
                    help="stepped column: material density, kg/cm^3")
     p.add_argument("--dimension", type=int, default=5, help="sphere: dimension")
     if with_seed:
@@ -48,6 +50,8 @@ def _add_problem_args(p, with_seed=True):
 
 
 def _problem_spec(args) -> dict:
+    if args.config and args.problem:
+        raise ConfigError([f"--problem {args.problem} and --config {args.config}: give one"])
     if args.config:
         return {"kind": "frame", "config": args.config}
     if args.problem == "sphere":

@@ -185,9 +185,7 @@ class _Kernel:
     ``area_at`` holds their flat indices into the (m, 6, 6) stack,
     ``area_values`` their values and ``area_member`` their members.
     ``force_rotation`` holds the rows of each member's rotation that turn
-    its global end forces into the reported local ones; ``forces_per_area``
-    and ``forces_per_inertia`` keep those local rows per unit A and I, the
-    per-design route to the same forces.
+    its global end forces into the reported local ones.
     ``free`` lists the free DOFs in the model's numbering, or in node (y, x)
     order where that narrows the band, and ``band_src``/``band_dst`` scatter
     the upper triangle of every element matrix straight into column-major
@@ -221,12 +219,8 @@ class _Kernel:
         E, L = model.elastic_modulus, self.length
         t = _rotation(dx / L, dy / L)
         t_inv = t.transpose(0, 2, 1)
-        k_area = _local_stiffness(E / L, 0.0, L) @ t
-        k_inertia = _local_stiffness(0.0, E, L) @ t
-        self.stiffness_per_area = t_inv @ k_area
-        self.stiffness_per_inertia = t_inv @ k_inertia
-        self.forces_per_area = k_area[:, _FORCE_ROWS]
-        self.forces_per_inertia = k_inertia[:, _FORCE_ROWS]
+        self.stiffness_per_area = t_inv @ (_local_stiffness(E / L, 0.0, L) @ t)
+        self.stiffness_per_inertia = t_inv @ (_local_stiffness(0.0, E, L) @ t)
         self.force_rotation = t[:, _FORCE_ROWS]
         self.area_at = np.flatnonzero(self.stiffness_per_area)
         self.area_values = self.stiffness_per_area.ravel()[self.area_at]

@@ -57,22 +57,28 @@ class PlanMismatchError(ValueError):
 
 def build_problem(spec: dict) -> Problem:
     """Reconstruct a problem from its serializable spec (worker-safe); a bad
-    spec raises ConfigError."""
+    spec, or a key its kind does not take or needs, raises ConfigError."""
     kind = spec.get("kind")
+    keys = {"stepped-column": {f.name for f in dataclasses.fields(SteppedColumnSpec)},
+            "frame": {"config"}, "sphere": {"dimension"}}
+    if kind not in keys:
+        raise ConfigError([f"unknown problem kind {kind!r}"])
+    args = {k: v for k, v in spec.items() if k != "kind"}
+    errors = [f"{kind} problem: unknown key {k!r}" for k in sorted(args.keys() - keys[kind])]
+    if kind == "frame" and "config" not in args:
+        errors.append("frame problem: missing key 'config'")
+    if errors:
+        raise ConfigError(errors)
     try:
         if kind == "stepped-column":
-            fields = {f.name for f in dataclasses.fields(SteppedColumnSpec)}
-            kwargs = {k: v for k, v in spec.items() if k in fields}
-            return stepped_column_problem(SteppedColumnSpec(**kwargs))
+            return stepped_column_problem(SteppedColumnSpec(**args))
         if kind == "frame":
-            return frame_problem(spec["config"])
-        if kind == "sphere":
-            return sphere_problem(dimension=spec.get("dimension", 5))
+            return frame_problem(args["config"])
+        return sphere_problem(**args)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
-    raise ConfigError([f"unknown problem kind {kind!r}"])
 
 
 def default_cell_settings(problem: Problem):
@@ -340,12 +346,11 @@ def practicality_report(record: RunRecord, problem: Problem):
     if problem.frame is None:
         raise ValueError("practicality_report needs a frame problem with "
                          "declared column stacks")
-    base = problem.base_problem or problem
     areas = record.final_decoded.get("areas_cm2")
     if areas is None:
         raise ValueError("record does not carry decoded group areas")
     reports = []
-    for rule in base.rules:
+    for rule in problem.rules:
         stack = [areas[g] for g in rule.replaced_variable_ids]
         violation = None
         for k in range(1, len(stack)):
@@ -365,15 +370,10 @@ def practicality_report(record: RunRecord, problem: Problem):
 
 
 def _write_summary_csv(path, summaries):
-    lines = ["cell,algorithm,strategy,trials,completed,failed,population,max_fe,"
-             "median,mean,best,worst,improvement_vs_none_pct"]
+    lines = [",".join(["cell"] + [f.name for f in dataclasses.fields(CellSummary)])]
     for s in summaries:
-        imp = "" if s.improvement_vs_none_pct is None else repr(s.improvement_vs_none_pct)
-        lines.append(
-            f"{cell_name(s.algorithm, s.strategy)},{s.algorithm},{s.strategy},"
-            f"{s.trials},{s.completed},{s.failed},{s.population},{s.max_fe},"
-            f"{s.median!r},{s.mean!r},{s.best!r},{s.worst!r},{imp}"
-        )
+        values = [cell_name(s.algorithm, s.strategy), *dataclasses.astuple(s)]
+        lines.append(",".join("" if v is None else str(v) for v in values))
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 

@@ -147,11 +147,10 @@ class _RunState:
     GMax snapshot that already holds the generation.
     """
 
-    def __init__(self, problem, config, strategy, observers):
+    def __init__(self, problem, config, strategy):
         self.problem = problem
         self.config = config
         self.strategy = strategy
-        self.observers = tuple(observers)
         self.tracker = GMaxTracker()
         self.fe_used = 0
         self.best_history = []
@@ -200,13 +199,9 @@ class _RunState:
         return self.config.max_fe - self.fe_used
 
     def record_history(self, infeasible):
-        frac = np.count_nonzero(infeasible) / len(infeasible)
-        best = None if self.best_feasible is None else self.best_feasible[1]
-        self.best_history.append(best)
-        self.infeasible_history.append(frac)
-        gen = len(self.best_history) - 1
-        for obs in self.observers:
-            obs(gen, self.fe_used, best, frac)
+        self.best_history.append(None if self.best_feasible is None
+                                 else self.best_feasible[1])
+        self.infeasible_history.append(np.count_nonzero(infeasible) / len(infeasible))
 
     def make_record(self, fallback_vec, fallback_f, fallback_g) -> RunRecord:
         vec, f, g = self.best_feasible or (np.array(fallback_vec, dtype=float),
@@ -239,11 +234,10 @@ class _RunState:
         )
 
 
-def pso_run(problem: Problem, config: OptimizerConfig, observers=(),
-            strategy="none") -> RunRecord:
+def pso_run(problem: Problem, config: OptimizerConfig, strategy="none") -> RunRecord:
     """Global-best particle swarm with feasibility-rule best updates."""
     init_rng, rng = _rng_streams(config.rng_seed)
-    state = _RunState(problem, config, strategy, observers)
+    state = _RunState(problem, config, strategy)
     X = initialize_population(problem, config, strategy, rng=init_rng)
     pop, n = X.shape
     lower, upper = problem.lower, problem.upper
@@ -287,8 +281,7 @@ def pso_run(problem: Problem, config: OptimizerConfig, observers=(),
     return state.make_record(gbest_x, best_f[0], best_g[0])
 
 
-def de_run(problem: Problem, config: OptimizerConfig, observers=(),
-           strategy="none") -> RunRecord:
+def de_run(problem: Problem, config: OptimizerConfig, strategy="none") -> RunRecord:
     """DE/rand/1/bin with greedy feasibility-rule selection.
 
     A trial replaces its target only when strictly better under the
@@ -296,7 +289,7 @@ def de_run(problem: Problem, config: OptimizerConfig, observers=(),
     fraction cannot increase between generations.
     """
     init_rng, rng = _rng_streams(config.rng_seed)
-    state = _RunState(problem, config, strategy, observers)
+    state = _RunState(problem, config, strategy)
     X = initialize_population(problem, config, strategy, rng=init_rng)
     pop, n = X.shape
     lower, upper = problem.lower, problem.upper
@@ -327,6 +320,6 @@ def de_run(problem: Problem, config: OptimizerConfig, observers=(),
     return state.make_record(X[best], f[best], g[best])
 
 
-def run_optimizer(problem, config, observers=(), strategy="none") -> RunRecord:
+def run_optimizer(problem, config, strategy="none") -> RunRecord:
     fn = pso_run if config.algorithm == "pso" else de_run
-    return fn(problem, config, observers=observers, strategy=strategy)
+    return fn(problem, config, strategy=strategy)

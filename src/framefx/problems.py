@@ -183,6 +183,12 @@ def stepped_column_problem(spec: SteppedColumnSpec | None = None) -> Problem:
     )
 
 
+def _catalog_index(x, lower, upper):
+    """Nearest catalog index of each value, clipped into [lower, upper];
+    np.rint rounds half-way values to even, as round() does."""
+    return np.clip(np.rint(x), lower, upper).astype(np.intp)
+
+
 def _row_dot(a, b):
     """Dot product of each row of ``a`` and ``b``: one BLAS dot per row, so a
     row gets the same bits in any generation."""
@@ -224,21 +230,17 @@ def _compile_frame(doc) -> Problem:
     offset = np.array([starts[distinct.index(pool)] for pool in pools])
     upper = np.array([len(pool) - 1 for pool in pools])
 
-    def indices(x):
-        # np.rint rounds half-way values to even, as round() does
-        return np.clip(np.rint(x), 0, upper).astype(np.intp)
-
     def score(block):
         result = fea.analyze(model, block)
         g = constraint_values(model, block, result, cs)
         return fea.frame_weight(model, block), g
 
     def evaluate(x) -> Evaluation:
-        weight, g = score(table[offset + indices(x)])
+        weight, g = score(table[offset + _catalog_index(x, 0, upper)])
         return Evaluation(objective=weight, violations=g)
 
     def decode(x):
-        idx = indices(x)
+        idx = _catalog_index(x, 0, upper)
         return {
             "section_indices": idx.tolist(),
             "sections": [pool.names[i] for pool, i in zip(pools, idx)],
@@ -317,10 +319,8 @@ def attach_fx(problem: Problem) -> Problem:
         for ids, heights, dom, k in compiled:
             alpha = np.maximum(xr[..., k + 1], 1.0)
             if dom.kind == "index":
-                # np.rint rounds half-way values to even, as frame_problem does
-                base_index = np.clip(np.rint(xr[..., k]), dom.lower, dom.upper)
-                full[..., ids] = expand_discrete(base_index.astype(np.intp), alpha,
-                                                 heights, dom.pool)
+                base_index = _catalog_index(xr[..., k], dom.lower, dom.upper)
+                full[..., ids] = expand_discrete(base_index, alpha, heights, dom.pool)
             else:
                 base_value = np.clip(xr[..., k], dom.lower, dom.upper)
                 values = expand_continuous(base_value, alpha, heights)

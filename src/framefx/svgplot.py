@@ -110,13 +110,13 @@ def line_chart(path, series, title="", xlabel="", ylabel=""):
     _write_svg(path, _W, _H, parts)
 
 
-def heatmap(path, values, title="", cell=None):
+def heatmap(path, values, title=""):
     """Write a grayscale heat map of a 2D array; darker means larger,
     row 0 rendered at the top."""
     n_rows = len(values)
     n_cols = len(values[0]) if n_rows else 0
     vmax = max((v for row in values for v in row), default=0.0)
-    cell = cell or max(4, min(24, 480 // max(n_rows, n_cols, 1)))
+    cell = max(4, min(24, 480 // max(n_rows, n_cols, 1)))
     w, h = n_cols * cell + 40, n_rows * cell + 50
     parts = [f'<text x="{w / 2}" y="16" text-anchor="middle">{title}</text>']
     for r, row in enumerate(values):

@@ -26,7 +26,7 @@ from framefx.evaluate import COLUMN_ELASTIC_COEF, PHI_BENDING, PHI_COMPRESSION, 
     PHI_TENSION, column_critical_stress as array_critical_stress, \
     effective_length_factor_sway as array_sway_factor, \
     lrfd_interaction_value as array_interaction_value
-from framefx.fea import AnalysisResult
+from framefx.fea import _FORCE_ROWS, AnalysisResult, _local_stiffness, _rotation
 from framefx.grouping import DEFAULT_ETA, InteractionMatrix, matrix_fe_cost
 from framefx.sections import AREA, INERTIA, PLASTIC_MODULUS, RADIUS_X, RADIUS_Y, \
     SECTION_MODULUS, SectionShape
@@ -295,6 +295,19 @@ def expand_discrete(base_index, alpha, heights, pool):
 
 # -- per-design scoring: what Problem.evaluate computed one design at a time --
 
+def _force_rows(model):
+    """Each member's local end-force rows per unit A and per unit I, (m, 4, 6)
+    each: the ``_FORCE_ROWS`` rows of its local stiffness times its rotation,
+    built with the kernel's own operations."""
+    nodes = np.array(model.nodes, dtype=float).reshape(-1, 2)
+    members = np.array(model.members, dtype=np.intp).reshape(-1, 3)
+    dx, dy = (nodes[members[:, 1]] - nodes[members[:, 0]]).T
+    E, L = model.elastic_modulus, np.hypot(dx, dy)
+    t = _rotation(dx / L, dy / L)
+    return tuple((_local_stiffness(ea, ei, L) @ t)[:, _FORCE_ROWS]
+                 for ea, ei in ((E / L, 0.0), (0.0, E)))
+
+
 def banded_analyze(model, block):
     """``fea.analyze`` of one (G, k) block as it was before designs were
     stacked: scipy's cholesky_banded and cho_solve_banded, and NumPy
@@ -311,8 +324,9 @@ def banded_analyze(model, block):
     u = np.zeros(kernel.n_dof)
     u[kernel.free] = scipy.linalg.cho_solve_banded((cb, False), kernel.loads[kernel.free],
                                                    check_finite=False)
-    forces = np.einsum("mij,mj->mi", area[:, None, None] * kernel.forces_per_area
-                       + inertia[:, None, None] * kernel.forces_per_inertia,
+    per_area, per_inertia = _force_rows(model)
+    forces = np.einsum("mij,mj->mi", area[:, None, None] * per_area
+                       + inertia[:, None, None] * per_inertia,
                        u[kernel.dofs])
     ux = u[0::3]
     lateral = kernel.level_weights @ ux

@@ -183,7 +183,12 @@ class TestInteractions:
      "needs at least two variables"),
     (("validate", "--problem", "sphere", "--dimension", "0"), "dimension must be >= 1"),
     (("validate", "--config", "nosuch"), "config file not found: nosuch"),
-], ids=["eta-negative", "eta-nan", "one-segment", "sphere-dimension-0", "missing-config"])
+    *(((command, "--problem", "sphere", "--config", "frame-8story-1bay"),
+       "--problem sphere and --config frame-8story-1bay")
+      for command in ("run", "interactions", "validate")),
+], ids=["eta-negative", "eta-nan", "one-segment", "sphere-dimension-0", "missing-config",
+        "run-problem-and-config", "interactions-problem-and-config",
+        "validate-problem-and-config"])
 def test_bad_problem_arguments_exit_1_without_output(tmp_path, capsys, monkeypatch,
                                                      argv, message):
     monkeypatch.chdir(tmp_path)
@@ -375,6 +380,22 @@ class TestPlot:
         assert run_cli("plot", str(tmp_path / "sphere-5")) == 0
         conv = (tmp_path / "sphere-5" / "figures" / "convergence.svg").read_text()
         assert conv.count("<polyline") == 2  # pso-none and de-none
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "frame"}, "frame problem: missing key 'config'"),
+        ({"kind": "sphere", "dimensions": 3}, "sphere problem: unknown key 'dimensions'"),
+    ])
+    def test_hand_edited_problem_spec_exits_1(self, tmp_path, capsys, spec, message):
+        run_cli("run", "--problem", "sphere", "--algo", "de", "--strategy", "none",
+                "--trials", "1", "--pop", "6", "--max-fe", "24", "--jobs", "1",
+                "--out", str(tmp_path))
+        manifest_path = tmp_path / "sphere-5" / "plan.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**manifest, "problem": spec}))
+        capsys.readouterr()
+        assert run_cli("plot", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
 
     def test_empty_results_tree(self, tmp_path, capsys):
         assert run_cli("plot", str(tmp_path)) == 1

@@ -20,6 +20,6 @@ def test_outputs_match_committed_digests():
     assert expected_stamp == digest.stamp(), (
         f"tests/digests.json was written by {expected_stamp}, this tree is "
         f"{digest.stamp()}")
-    assert committed["commands"] == digest.COMMANDS + ["plot"]
+    assert committed["commands"] == digest.COMMANDS
     moved = digest.differences(committed["files"], digest.current_digests())
     assert not moved, "\n".join(moved)

@@ -17,6 +17,7 @@ from framefx.harness import (
     practicality_report,
     run_plan,
 )
+from framefx.config import ConfigError
 from framefx.evaluate import Evaluation
 from framefx.fx import STRATEGIES
 from framefx.optim import RunRecord
@@ -193,6 +194,26 @@ class TestRunPlan:
         for fa in sorted((tmp_path / "serial").rglob("*.json"), key=str):
             fb = tmp_path / "parallel" / fa.relative_to(tmp_path / "serial")
             assert fa.read_bytes() == fb.read_bytes()
+
+
+class TestBuildProblem:
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "stepped-column", "segmnt_count": 10},
+         "stepped-column problem: unknown key 'segmnt_count'"),
+        ({"kind": "sphere", "dimensions": 3}, "sphere problem: unknown key 'dimensions'"),
+        ({"kind": "frame"}, "frame problem: missing key 'config'"),
+        ({"kind": "frame", "config": "frame-8story-1bay", "segment_count": 10},
+         "frame problem: unknown key 'segment_count'"),
+        ({"kind": "truss"}, "unknown problem kind 'truss'"),
+    ])
+    def test_unknown_or_missing_key_is_a_config_error(self, spec, message):
+        with pytest.raises(ConfigError) as info:
+            build_problem(spec)
+        assert info.value.problems == [message]
+
+    def test_kind_alone_builds_the_defaults(self):
+        assert build_problem({"kind": "sphere"}).name == "sphere-5"
+        assert build_problem({"kind": "stepped-column"}).name == "stepped-column-50"
 
 
 class TestImprovement:

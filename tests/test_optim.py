@@ -154,7 +154,7 @@ class TestBestTracking:
         # PSO writes later generations into the first generation's arrays;
         # the saved best feasible design must keep its own violations
         problem = stepped_column_problem(SteppedColumnSpec(segment_count=6))
-        state = _RunState(problem, config(pop=4, max_fe=8), "none", ())
+        state = _RunState(problem, config(pop=4, max_fe=8), "none")
         X = np.full((4, 6), 50.0)                     # stiffest: all feasible
         f, g, infeasible = state.evaluate(X)
         f[:], g[:], infeasible[:] = state.evaluate(np.full((4, 6), 3.0))  # all infeasible
@@ -214,7 +214,7 @@ class TestInitialization:
 
 def _state_with_snapshot(gmax):
     """A run state whose GMax snapshot is ``gmax``."""
-    state = _RunState(sphere_problem(dimension=2), config(pop=4, max_fe=8), "none", ())
+    state = _RunState(sphere_problem(dimension=2), config(pop=4, max_fe=8), "none")
     state.tracker.gmax = gmax
     return state
 
@@ -290,20 +290,6 @@ class TestNonFiniteGuard:
             run_optimizer(problem, config(algorithm, pop=10, max_fe=400, seed=1))
         design = json.loads(str(info.value).split("at design ")[1])
         assert len(design) == 3 and design[0] > 0.0
-
-
-class TestObservers:
-    def test_per_generation_callbacks(self):
-        problem = sphere_problem(dimension=3)
-        seen = []
-        record = pso_run(problem, config("pso", pop=10, max_fe=100),
-                         observers=[lambda *a: seen.append(a)])
-        assert len(seen) == len(record.best_history)
-        gens = [s[0] for s in seen]
-        assert gens == list(range(len(seen)))
-        fes = [s[1] for s in seen]
-        assert fes[-1] == 100
-        assert all(f2 > f1 for f1, f2 in zip(fes, fes[1:]))
 
 
 class TestIndexCoding:

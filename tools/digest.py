@@ -33,7 +33,7 @@ import numpy  # noqa: E402
 import scipy  # noqa: E402
 
 import framefx  # noqa: E402
-from framefx.cli import main  # noqa: E402
+from framefx import cli  # noqa: E402
 from framefx.config import BUNDLED_CONFIGS  # noqa: E402
 from framefx.fea import KERNEL_ID  # noqa: E402
 
@@ -46,6 +46,7 @@ COMMANDS = [
     "run --problem stepped-column --trials 1 --jobs 1",
     "run --problem sphere --trials 2 --pop 6 --max-fe 24 --jobs 1",
     *(f"interactions --config {name}" for name in sorted(BUNDLED_CONFIGS)),
+    "plot",
 ]
 
 
@@ -56,13 +57,14 @@ def stamp() -> dict:
 
 
 def run_commands(root: Path):
-    """Run every command, then ``plot`` on ``root``; a nonzero exit raises."""
-    for command in COMMANDS + ["plot"]:
+    """Run every command with ``root`` as its output root (``plot`` reads
+    it); a nonzero exit raises."""
+    for command in COMMANDS:
         argv = command.split()
         argv += [str(root)] if command == "plot" else ["--out", str(root)]
         console = io.StringIO()
         with contextlib.redirect_stdout(console), contextlib.redirect_stderr(console):
-            code = main(argv)
+            code = cli.main(argv)
         if code != 0:
             raise RuntimeError(f"framefx {command} exited with {code}:\n"
                                f"{console.getvalue()}")
@@ -89,12 +91,12 @@ def differences(expected: dict, actual: dict) -> list:
     return lines
 
 
-def main_digest():
+def main():
     files = current_digests()
-    doc = {**stamp(), "commands": COMMANDS + ["plot"], "files": files}
+    doc = {**stamp(), "commands": COMMANDS, "files": files}
     DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(files)} digests to {DIGESTS.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":
-    main_digest()
+    main()
