@@ -25,26 +25,31 @@ from .problems import SteppedColumnSpec
 from .sections import SectionTableError, load_pool
 from .svgplot import line_chart
 
-PROBLEM_CHOICES = ("stepped-column", "sphere")
+PROBLEM_OPTIONS = {  # built-in kind: (flag, spec key, type, default, help) of each option
+    "stepped-column": [
+        ("--segments", "segment_count", int, SteppedColumnSpec.segment_count,
+         "stepped column: number of segments"),
+        ("--segment-length", "segment_length", float, SteppedColumnSpec.segment_length,
+         "stepped column: segment length, cm"),
+        ("--tip-load", "tip_load", float, SteppedColumnSpec.tip_load,
+         "stepped column: lateral tip load, kN"),
+        ("--allowable-stress", "allowable_stress", float, SteppedColumnSpec.allowable_stress,
+         "stepped column: allowable bending stress, kN/cm^2"),
+        ("--density", "density", float, SteppedColumnSpec.density,
+         "stepped column: material density, kg/cm^3"),
+    ],
+    "sphere": [("--dimension", "dimension", int, 5, "sphere: dimension")],
+}
 
 
 def _add_problem_args(p, with_seed=True):
-    column = SteppedColumnSpec  # its field defaults are the column options' defaults
-    p.add_argument("--problem", choices=PROBLEM_CHOICES,
+    p.add_argument("--problem", choices=tuple(PROBLEM_OPTIONS),
                    help="built-in problem (use --config for frames)")
     p.add_argument("--config", help="frame config path or bundled name: "
                    + ", ".join(sorted(BUNDLED_CONFIGS)))
-    p.add_argument("--segments", type=int, default=column.segment_count,
-                   help="stepped column: number of segments")
-    p.add_argument("--segment-length", type=float, default=column.segment_length,
-                   help="stepped column: segment length, cm")
-    p.add_argument("--tip-load", type=float, default=column.tip_load,
-                   help="stepped column: lateral tip load, kN")
-    p.add_argument("--allowable-stress", type=float, default=column.allowable_stress,
-                   help="stepped column: allowable bending stress, kN/cm^2")
-    p.add_argument("--density", type=float, default=column.density,
-                   help="stepped column: material density, kg/cm^3")
-    p.add_argument("--dimension", type=int, default=5, help="sphere: dimension")
+    for options in PROBLEM_OPTIONS.values():  # in args, by spec key, only when given
+        for flag, key, type_, _, text in options:
+            p.add_argument(flag, dest=key, type=type_, default=argparse.SUPPRESS, help=text)
     if with_seed:
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
@@ -52,18 +57,16 @@ def _add_problem_args(p, with_seed=True):
 def _problem_spec(args) -> dict:
     if args.config and args.problem:
         raise ConfigError([f"--problem {args.problem} and --config {args.config}: give one"])
-    if args.config:
+    kind = "frame" if args.config else args.problem or "stepped-column"
+    errors = [f"{flag} applies to a {owner} problem, not a {kind} one"
+              for owner, options in PROBLEM_OPTIONS.items() if owner != kind
+              for flag, key, *_ in options if key in args]
+    if errors:
+        raise ConfigError(errors)
+    if kind == "frame":
         return {"kind": "frame", "config": args.config}
-    if args.problem == "sphere":
-        return {"kind": "sphere", "dimension": args.dimension}
-    return {  # --problem stepped-column, the default
-        "kind": "stepped-column",
-        "segment_count": args.segments,
-        "segment_length": args.segment_length,
-        "tip_load": args.tip_load,
-        "allowable_stress": args.allowable_stress,
-        "density": args.density,
-    }
+    return {"kind": kind, **{key: getattr(args, key, default)
+                             for _, key, _, default, _ in PROBLEM_OPTIONS[kind]}}
 
 
 def _out_root(args) -> Path:
@@ -78,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run the experiment protocol")
+    run_p.set_defaults(handler=cmd_run)
     _add_problem_args(run_p)
     run_p.add_argument("--algo", default="all", help="pso, de, or all")
     run_p.add_argument("--strategy", default="all",
@@ -91,18 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--plan-name", help="results subdirectory (default: problem name)")
 
     int_p = sub.add_parser("interactions", help="build the variable-interaction matrix")
+    int_p.set_defaults(handler=cmd_interactions)
     _add_problem_args(int_p, with_seed=False)
     int_p.add_argument("--eta", type=float, default=DEFAULT_ETA,
                        help="relative adjacency threshold")
     int_p.add_argument("--out", help="output root (default $FRAMEFX_OUT or ./results)")
 
     plot_p = sub.add_parser("plot", help="emit figures for finished plans")
+    plot_p.set_defaults(handler=cmd_plot)
     plot_p.add_argument("results", help="a plan directory or a results root")
 
     val_p = sub.add_parser("validate", help="check a config and report its design space")
+    val_p.set_defaults(handler=cmd_validate)
     _add_problem_args(val_p, with_seed=False)
 
     sec_p = sub.add_parser("sections", help="summarize a section catalog")
+    sec_p.set_defaults(handler=cmd_sections)
     sec_p.add_argument("--pool", default="w-all",
                        help="bundled pool name or a CSV path")
     return parser
@@ -187,10 +195,13 @@ def cmd_plot(args) -> int:
     plans = _plan_dirs(root) if root.exists() else []
     if not plans:
         raise ConfigError([f"no finished plans under {root}"])
-    for plan_dir in plans:
+    loaded = []
+    for plan_dir in plans:  # every plan is read and checked before any figure is written
         plan = ExperimentPlan.from_manifest(
             json.loads((plan_dir / "plan.json").read_text(encoding="utf-8")))
-        records = load_records(plan_dir, plan)
+        loaded.append((plan_dir, plan, load_records(plan_dir, plan),
+                       build_problem(plan.problem_spec)))
+    for plan_dir, plan, records, problem in loaded:
         fig_dir = plan_dir / "figures"
         fig_dir.mkdir(exist_ok=True)
 
@@ -205,7 +216,6 @@ def cmd_plot(args) -> int:
                    xlabel="function evaluations", ylabel="infeasible fraction")
         written = ["figures/convergence.svg", "figures/infeasible.svg"]
 
-        problem = build_problem(plan.problem_spec)
         if problem.frame is not None and problem.rules:
             profiles = []
             csv_lines = ["cell,stack,group_id,height_cm,area_cm2,normalized"]
@@ -269,15 +279,8 @@ def cmd_sections(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "run": cmd_run,
-        "interactions": cmd_interactions,
-        "plot": cmd_plot,
-        "validate": cmd_validate,
-        "sections": cmd_sections,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, PlanMismatchError, SectionTableError,
             StructuralInstabilityError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

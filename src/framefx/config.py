@@ -34,6 +34,8 @@ BUNDLED_CONFIGS = {
     "frame-24story-3bay": "frame_24story_3bay.json",
 }
 
+_JSON_NAMES = {str: "a string", dict: "an object", list: "a list", (int, float): "a number"}
+
 
 class ConfigError(ValueError):
     """A config or option failed validation; ``problems`` lists one
@@ -63,7 +65,7 @@ def _check(doc):
             return None
         val = where[key]
         if not isinstance(val, types):
-            errs.append(f"{prefix}{key}: expected {types}, got {type(val).__name__}")
+            errs.append(f"{prefix}{key}: expected {_JSON_NAMES[types]}, got {val!r}")
             return None
         return val
 

@@ -94,11 +94,7 @@ class FrameModel:
 
     def constrained_dofs(self):
         """Sorted global DOF indices fixed by supports."""
-        out = set()
-        for node, dofs in self.supports:
-            for d in dofs:
-                out.add(3 * node + DOF_NAMES.index(d))
-        return sorted(out)
+        return self._kernel.fixed.tolist()
 
 
 def _local_stiffness(ea, ei, L):
@@ -229,7 +225,14 @@ class _Kernel:
         self.n_dof = 3 * len(model.nodes)
         self.dofs = np.concatenate([3 * self.ends[:, :1] + np.arange(3),
                                     3 * self.ends[:, 1:] + np.arange(3)], axis=1)
-        self.fixed = np.array(model.constrained_dofs(), dtype=np.intp)
+        self.supported = np.zeros(len(model.nodes), dtype=bool)
+        self.rot_fixed = np.zeros(len(model.nodes), dtype=bool)
+        fixed = set()
+        for node, dofs in model.supports:
+            self.supported[node] = True
+            self.rot_fixed[node] |= "rot" in dofs
+            fixed.update(3 * node + DOF_NAMES.index(d) for d in dofs)
+        self.fixed = np.array(sorted(fixed), dtype=np.intp)
         self.loads = np.zeros(self.n_dof)
         for node, fx, fy, m in model.loads:
             self.loads[3 * node:3 * node + 3] += (fx, fy, m)
@@ -251,12 +254,6 @@ class _Kernel:
         self.band_src = np.flatnonzero(upper)
         self.band_dst = col[upper] * (self.bandwidth + 1) + self.bandwidth \
             + row[upper] - col[upper]
-
-        self.rot_fixed = np.zeros(len(model.nodes), dtype=bool)
-        self.supported = np.zeros(len(model.nodes), dtype=bool)
-        for node, dofs in model.supports:
-            self.supported[node] = True
-            self.rot_fixed[node] |= "rot" in dofs
 
         self.level_weights = on_level / on_level.sum(axis=1)[:, None]
         self.story_heights = np.diff(np.concatenate(([0.0], levels)))

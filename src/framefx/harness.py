@@ -122,32 +122,20 @@ class ExperimentPlan:
         return [self.seed_base + t for t in range(self.trials)]
 
     def to_manifest(self) -> dict:
-        return {
-            "format": 1,
-            "framefx_version": __version__,
-            "fea_kernel": KERNEL_ID,
-            "name": self.name,
-            "problem": self.problem_spec,
-            "strategies": list(self.strategies),
-            "algorithms": list(self.algorithms),
-            "trials": self.trials,
-            "seed_base": self.seed_base,
-            "population": dict(self.population),
-            "max_fe": dict(self.max_fe),
-        }
+        """The plan as JSON reads it back, stamped with the code that wrote it."""
+        doc = {"format": 1, "framefx_version": __version__, "fea_kernel": KERNEL_ID}
+        for name, value in dataclasses.asdict(self).items():
+            doc[_manifest_key(name)] = list(value) if isinstance(value, tuple) else value
+        return doc
 
     @staticmethod
     def from_manifest(doc) -> "ExperimentPlan":
-        return ExperimentPlan(
-            name=doc["name"],
-            problem_spec=doc["problem"],
-            strategies=tuple(doc["strategies"]),
-            algorithms=tuple(doc["algorithms"]),
-            trials=doc["trials"],
-            seed_base=doc["seed_base"],
-            population=dict(doc["population"]),
-            max_fe=dict(doc["max_fe"]),
-        )
+        values = (doc[_manifest_key(f.name)] for f in dataclasses.fields(ExperimentPlan))
+        return ExperimentPlan(*(tuple(v) if isinstance(v, list) else v for v in values))
+
+
+def _manifest_key(field_name) -> str:  # the one field stored under another key
+    return "problem" if field_name == "problem_spec" else field_name
 
 
 @dataclass
@@ -266,7 +254,6 @@ def load_records(plan_dir, plan: ExperimentPlan):
 
 def summarize(plan: ExperimentPlan, records) -> list:
     summaries = []
-    by_cell = {}
     for algorithm, strategy in plan.cells():
         cell = cell_name(algorithm, strategy)
         recs = records[cell]
@@ -282,11 +269,10 @@ def summarize(plan: ExperimentPlan, records) -> list:
             best=float(stats[2]), worst=float(stats[3]),
         )
         summaries.append(summary)
-        by_cell[(algorithm, strategy)] = summary
-    for summary in summaries:
-        none_cell = by_cell.get((summary.algorithm, "none"))
-        if none_cell is not None and summary.strategy != "none":
-            summary.improvement_vs_none_pct = improvement_vs_none(summary, none_cell)
+    none_cells = {s.algorithm: s for s in summaries if s.strategy == "none"}
+    for s in summaries:
+        if s.strategy != "none" and s.algorithm in none_cells:
+            s.improvement_vs_none_pct = improvement_vs_none(s, none_cells[s.algorithm])
     return summaries
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 # selection compares keys and no longer calls deb_compare, the pairwise
 # definition of the same order; the name stays bound for tools that patch it
-from .evaluate import Evaluation, GMaxTracker, deb_compare  # noqa: F401
+from .evaluate import GMaxTracker, deb_compare  # noqa: F401
 from .fx import STRATEGIES
 from .problems import Problem, attach_fx
 
@@ -206,7 +206,6 @@ class _RunState:
     def make_record(self, fallback_vec, fallback_f, fallback_g) -> RunRecord:
         vec, f, g = self.best_feasible or (np.array(fallback_vec, dtype=float),
                                            fallback_f, fallback_g)
-        ev = Evaluation(f, g, self.tracker.normalize(g))
         problem = self.problem
         if problem.is_reduced:
             full_vec = problem.expand_full(vec)
@@ -226,10 +225,10 @@ class _RunState:
             final_vector=[float(v) for v in np.asarray(full_vec, dtype=float)],
             final_reduced_vector=reduced_vec,
             final_decoded=problem.decode(vec),
-            final_objective=float(ev.objective),
-            final_violations=[float(v) for v in ev.violations],
-            final_feasible=ev.feasible,
-            final_normalized_violation=float(ev.normalized_violation),
+            final_objective=float(f),
+            final_violations=[float(v) for v in g],
+            final_feasible=bool((g <= 0).all()),
+            final_normalized_violation=float(self.tracker.normalize(g)),
             problem_name=problem.name,
         )
 

@@ -186,9 +186,17 @@ class TestInteractions:
     *(((command, "--problem", "sphere", "--config", "frame-8story-1bay"),
        "--problem sphere and --config frame-8story-1bay")
       for command in ("run", "interactions", "validate")),
+    (("validate", "--config", "frame-8story-1bay", "--segments", "0", "--dimension", "0"),
+     "--segments applies to a stepped-column problem, not a frame one\n"
+     "  --dimension applies to a sphere problem, not a frame one"),
+    (("validate", "--problem", "sphere", "--segments", "0"),
+     "--segments applies to a stepped-column problem, not a sphere one"),
+    (("validate", "--problem", "stepped-column", "--dimension", "0"),
+     "--dimension applies to a sphere problem, not a stepped-column one"),
 ], ids=["eta-negative", "eta-nan", "one-segment", "sphere-dimension-0", "missing-config",
         "run-problem-and-config", "interactions-problem-and-config",
-        "validate-problem-and-config"])
+        "validate-problem-and-config", "column-and-sphere-options-on-frame",
+        "column-option-on-sphere", "sphere-option-on-column"])
 def test_bad_problem_arguments_exit_1_without_output(tmp_path, capsys, monkeypatch,
                                                      argv, message):
     monkeypatch.chdir(tmp_path)
@@ -314,15 +322,63 @@ class TestValidate:
         (lambda doc: doc.update(supports=[{"node": i, "fix": ["ux", "uy", "rot"]}
                                           for i in range(len(doc["nodes"]))]),
          "supports: no degree of freedom is left free"),
+        (lambda doc: "{", "not valid JSON"),
+        (lambda doc: "[]", "config root must be a JSON object"),
+        (lambda doc: doc["material"].update(density="x"),
+         "material.density: expected a number, got 'x'"),
+        (lambda doc: doc.update(nodes={}), "nodes: expected a list, got {}"),
+        (lambda doc: doc.update(constraints=[]), "constraints: expected an object, got []"),
+        (lambda doc: doc.update(name=8), "name: expected a string, got 8"),
+        (lambda doc: doc["nodes"][0].pop(), "nodes[0]: expected [x, y]"),
+        (lambda doc: doc["groups"].append("beams"), "groups[8]: expected object"),
+        (lambda doc: doc["groups"][0].update(pool=3),
+         "groups[0].pool: expected pool label string"),
+        (lambda doc: doc["groups"][0].update(pool="w99"), "groups[0].pool: unknown pool 'w99'"),
+        (lambda doc: doc["groups"][0].update(k_factor="1"),
+         "groups[0].k_factor: expected a number, got '1'"),
+        (lambda doc: doc["members"][0].pop(),
+         "members[0]: expected [node_a, node_b, group_id]"),
+        (lambda doc: doc["supports"][0].pop("fix"), "supports[0]: expected {node, fix}"),
+        (lambda doc: doc["loads"][0].pop("node"), "loads[0]: expected {node, fx, fy, m}"),
+        (lambda doc: doc["constraints"].update(families="lateral_drift"),
+         "constraints.families: expected a list of family names"),
+        (lambda doc: doc.update(functioning={}), "functioning: expected list"),
+        (lambda doc: doc["functioning"].append([4, 5]), "functioning[1]: expected object"),
+        (lambda doc: doc["functioning"][0].update(heights_cm="0"),
+         "functioning[0].heights_cm: expected a list of numbers"),
+        (lambda doc: doc["functioning"][0].update(group_ids=[0, 1, 2, 3.0]),
+         "functioning[0].group_ids: expected list of group ids"),
+        (lambda doc: doc.update(optimization=[]), "optimization: expected object"),
+        (lambda doc: doc.update(optimization={"max_fe": {"none": 0}}),
+         "optimization.max_fe: expected positive ints keyed by"),
+        (lambda doc: doc.update(second_order=True),
+         "second_order: only first-order analysis is available"),
+        (lambda doc: doc.update(supports=[]), "supports: at least one support required"),
+        (lambda doc: doc["constraints"].update(families=["buckling"]),
+         "constraints: unknown constraint families: ['buckling']"),
+        (lambda doc: doc["constraints"].update(k_mode="braced"),
+         "constraints: unknown k_mode 'braced'"),
+        (lambda doc: doc["functioning"][0].update(heights_cm=[0.0, 609.6]),
+         "functioning[0]: replaced_variable_ids and heights differ in length"),
+        (lambda doc: doc["functioning"][0].update(group_ids=[0, 1, 1, 3]),
+         "functioning[0]: replaced_variable_ids contains duplicates"),
     ], ids=["stress-without-limit", "negative-stress-limit", "drift-without-limit",
             "negative-interstory-index", "negative-roof-limit", "one-group-rule",
             "empty-fix", "null-interstory-index", "rule-group-out-of-range",
-            "overlapping-rules", "rule-across-two-pools", "every-dof-fixed"])
+            "overlapping-rules", "rule-across-two-pools", "every-dof-fixed",
+            "invalid-json", "root-not-object", "density-not-number", "nodes-not-list",
+            "constraints-not-object", "name-not-string", "node-without-y",
+            "group-not-object", "pool-not-string", "unknown-pool", "k-factor-not-number",
+            "member-without-group", "support-without-fix", "load-without-node",
+            "families-not-list", "functioning-not-list", "rule-not-object",
+            "rule-heights-not-numbers", "rule-ids-not-ints", "optimization-not-object",
+            "zero-budget", "second-order", "no-supports", "unknown-family",
+            "unknown-k-mode", "rule-lengths-differ", "rule-duplicate-ids"])
     def test_config_errors_exit_1_at_load(self, tmp_path, capsys, edit, message):
         doc = load_frame_config("frame-8story-1bay")
-        edit(doc)
+        text = edit(doc)  # an edit that returns a string replaces the whole file
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text if isinstance(text, str) else json.dumps(doc))
         assert run_cli("validate", "--config", str(path)) == 1
         captured = capsys.readouterr()
         assert "config ok" not in captured.out
@@ -396,6 +452,7 @@ class TestPlot:
         assert run_cli("plot", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
+        assert not (tmp_path / "sphere-5" / "figures").exists()
 
     def test_empty_results_tree(self, tmp_path, capsys):
         assert run_cli("plot", str(tmp_path)) == 1

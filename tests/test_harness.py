@@ -70,6 +70,14 @@ class TestRunPlan:
         with pytest.raises(PlanMismatchError):
             run_plan(tiny_plan(trials=2), tmp_path)
 
+    def test_manifest_round_trips_through_json(self):
+        plan = tiny_plan(trials=3, strategies=("fx", "none"), algorithms=("de",),
+                         seed_base=7)
+        manifest = plan.to_manifest()
+        assert json.loads(json.dumps(manifest)) == manifest  # lists, as JSON reads back
+        assert manifest["problem"] == plan.problem_spec
+        assert ExperimentPlan.from_manifest(json.loads(json.dumps(manifest))) == plan
+
     def test_plan_from_other_code_rejected(self, tmp_path):
         # a plan written before the manifest carried its code identity (the
         # dense-kernel releases) must not have banded-kernel records mixed in
