@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .sections import AREA, INERTIA, SECTION_MODULUS, property_block
 
@@ -330,6 +329,10 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
     constrained stiffness matrix is singular, naming the offending node/DOF
     of the first such design in the stack.
     """
+    # imported here, not at module level: scipy.linalg is most of a fresh
+    # process's start-up, and only a frame solve needs it
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
     kernel = model._kernel
     block = _design(model, assignment)
     lead = block.shape[:-2]

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import framefx
 from framefx.cli import build_parser, main
 from framefx.config import load_frame_config
 
@@ -504,3 +510,50 @@ class TestFrameInteractions:
         csv_path = tmp_path / "frame-8story-1bay-interactions" / "interactions.csv"
         rows = csv_path.read_text().strip().splitlines()
         assert len(rows) == 8
+
+
+# run in a fresh interpreter, where sys.modules shows what the commands import
+STARTUP_SCRIPT = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    from framefx.cli import main
+    from framefx.harness import ExperimentPlan, load_records, summarize
+
+    out = Path(sys.argv[1])
+    try:
+        main(["--help"])
+    except SystemExit as done:
+        assert done.code == 0
+    assert main(["run", "--problem", "stepped-column", "--trials", "1",
+                 "--pop", "6", "--max-fe", "24", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    assert main(["interactions", "--problem", "stepped-column",
+                 "--segments", "6", "--out", str(out)]) == 0
+    plan_dir = out / "stepped-column-50"
+    plan = ExperimentPlan.from_manifest(json.loads((plan_dir / "plan.json").read_text()))
+    summaries = summarize(plan, load_records(plan_dir, plan))
+    assert main(["plot", str(plan_dir)]) == 0
+    loaded = {"cells": len(summaries), "column": "scipy.linalg" in sys.modules}
+
+    from framefx.fea import analyze
+    from framefx.problems import frame_problem
+
+    frame = frame_problem("frame-8story-1bay").frame
+    analyze(frame.model, tuple(pool[-1] for pool in frame.pools))
+    loaded["frame"] = "scipy.linalg" in sys.modules
+    print(json.dumps(loaded))
+""")
+
+
+def test_only_a_frame_solve_imports_scipy_linalg(tmp_path):
+    """The column's run, interactions, summary and plot and ``--help`` start
+    without scipy.linalg, the largest import; the first frame solve loads it."""
+    src = str(Path(framefx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"cells": 6, "column": False, "frame": True}

@@ -12,9 +12,12 @@ seed of ``--seeds``: pair i runs seed i on both sides, the parent first in odd
 pairs and the change first in even pairs.  For every end-to-end metric the file records each side's runs,
 median and quartiles, and how many pairs the change won (ties count for
 neither side).  ``--traced-seeds`` adds one ``--trace 1`` run per side and
-seed, alternating the same way.  ``--claim METRIC`` states whether METRIC
-improved on this workload: the change must win at least nine pairs in ten
-and the medians must differ by more than the parent's interquartile range.
+seed, alternating the same way.  Each side's slowest plain unit per run,
+from ``run.py``'s ``fastest/slowest`` line, is kept beside the metrics: a
+cost that moves into a run's first unit shows there, not in ``wall_s``'s
+median.  ``--claim METRIC`` states whether METRIC improved on this
+workload: the change must win at least nine pairs in ten and the medians
+must differ by more than the parent's interquartile range.
 
 The output file gathers every workload run into it: a second invocation with
 another ``--workload`` adds that workload's entries and keeps the others.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -40,8 +44,11 @@ def parse_seeds(text):
     return [int(part) for part in text.split(",")]
 
 
+SLOWEST = re.compile(r"^workload .* slowest (\S+) s$")
+
+
 def perfbench(checkout: Path, workload, seed, seconds, trace):
-    """One perfbench run from ``checkout``: (result, env)."""
+    """One perfbench run from ``checkout``: (result, env, slowest unit in s)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -50,7 +57,8 @@ def perfbench(checkout: Path, workload, seed, seconds, trace):
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}")
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
-    return json.loads(lines[-1]), env
+    slowest = next(float(m[1]) for m in map(SLOWEST.match, lines) if m)
+    return json.loads(lines[-1]), env, slowest
 
 
 def quartiles(values):
@@ -125,11 +133,13 @@ def main(argv=None):
         return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
     runs = {"parent": [], "change": []}
+    slowest = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         for side in order(i):
-            result, env = perfbench(sides[side], args.workload, seed, seconds, 0)
+            result, env, unit_s = perfbench(sides[side], args.workload, seed, seconds, 0)
             doc.setdefault("env", env)
             runs[side].append(result)
+            slowest[side].append(unit_s)
             values = {n: round(m["value"], 6) for n, m in result["metrics"].items()}
             print(f"{args.workload} pair {i + 1}/{len(args.seeds)} seed {seed} {side}: "
                   f"{json.dumps(values)}", file=sys.stderr, flush=True)
@@ -141,6 +151,7 @@ def main(argv=None):
                                         [r["metrics"][name]["value"] for r in runs["parent"]],
                                         [r["metrics"][name]["value"] for r in runs["change"]])
                         for name in better},
+            "slowest_unit_s": slowest,
             "correct": all(r["correct"] for side in runs.values() for r in side),
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
         }
@@ -154,7 +165,7 @@ def main(argv=None):
         traced = doc.setdefault("traced", {}).setdefault(args.workload, {})
         entry = traced.setdefault(f"seed_{seed}", {})
         for side in order(i):
-            result, _ = perfbench(sides[side], args.workload, seed, seconds, 1)
+            result, *_ = perfbench(sides[side], args.workload, seed, seconds, 1)
             entry[side] = {n: round(m["value"], 6) for n, m in result["metrics"].items()}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
