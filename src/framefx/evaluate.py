@@ -161,7 +161,7 @@ def deb_compare(a: Evaluation, b: Evaluation):
 
 
 def _scalar_or_array(x):
-    return float(x) if np.ndim(x) == 0 else x
+    return float(x) if x.ndim == 0 else x
 
 
 def column_critical_stress(lambda_c, fy):
@@ -169,9 +169,10 @@ def column_critical_stress(lambda_c, fy):
     elastic beyond; the branches meet exactly at the seam.  ``lambda_c`` may
     be an array."""
     lambda_c = np.asarray(lambda_c, dtype=float)
+    squared = lambda_c**2
     with np.errstate(divide="ignore"):
-        stress = np.where(lambda_c <= 1.5, 0.658 ** (lambda_c**2) * fy,
-                          COLUMN_ELASTIC_COEF / lambda_c**2 * fy)
+        stress = np.where(lambda_c <= 1.5, 0.658**squared,
+                          COLUMN_ELASTIC_COEF / squared) * fy
     return _scalar_or_array(stress)
 
 
@@ -182,44 +183,41 @@ def lrfd_interaction_value(axial_ratio, moment_ratio):
     Mu / (phi_b * M_n); the low-axial branch halves the axial term.  Either
     may be an array.
     """
-    value = np.where(np.asarray(axial_ratio) < 0.2,
-                     axial_ratio / 2.0 + moment_ratio - 1.0,
-                     axial_ratio + (8.0 / 9.0) * moment_ratio - 1.0)
+    value = np.where(np.asarray(axial_ratio) < 0.2, axial_ratio / 2.0 + moment_ratio,
+                     axial_ratio + (8.0 / 9.0) * moment_ratio) - 1.0
     return _scalar_or_array(value)
 
 
 def effective_length_factor_sway(g_a, g_b):
     """Sway-frame effective length factor from end stiffness ratios
     (Dumonteil's closed-form fit to the alignment chart); takes arrays."""
-    return _scalar_or_array(
-        np.sqrt((1.6 * g_a * g_b + 4.0 * (g_a + g_b) + 7.5) / (g_a + g_b + 7.5)))
+    total = g_a + g_b
+    return _scalar_or_array(np.sqrt((1.6 * g_a * g_b + 4.0 * total + 7.5) / (total + 7.5)))
 
 
 def _joint_stiffness_ratios(kernel, members):
     """Per-node G = sum(I_col/L_col) / sum(I_beam/L_beam) for sway K factors,
     (..., n); ``members`` holds each member's section properties, (..., m, k)."""
-    stiff = np.repeat(members[..., INERTIA] / kernel.length, 2, axis=-1)
+    stiff = (members[..., INERTIA] / kernel.length).repeat(2, axis=-1)
     n = kernel.supported.size
     designs = stiff.reshape(-1, stiff.shape[-1])
     # one bincount over every design, each summing into its own 2n bins
-    bins = kernel.joint_bins + 2 * n * np.arange(len(designs))[:, None]
+    bins = kernel.joint_bins + np.arange(0, 2 * n * len(designs), 2 * n)[:, None]
     sums = np.bincount(bins.ravel(), designs.ravel(), minlength=designs.shape[0] * 2 * n)
     sums = sums.reshape(stiff.shape[:-1] + (2 * n,))
     col, beam = sums[..., :n], sums[..., n:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        joint = np.where(beam > 0, col / beam, 10.0)
-    # recommended values for a fixed base (1) and a pinned base (10)
-    return np.where(kernel.rot_fixed, 1.0, np.where(kernel.supported, 10.0, joint))
+    joint = np.divide(col, beam, out=np.full_like(col, 10.0), where=beam > 0)
+    np.copyto(joint, kernel.support_ratio, where=kernel.supported)
+    return joint
 
 
 def _member_k_factors(kernel, members, cs: ConstraintSet):
+    """Each member's effective length factor, (..., m); a beam's goes unused,
+    as its axial ratio is 0."""
     if cs.k_mode == "fixed":
         return kernel.k_factor
-    ratios = _joint_stiffness_ratios(kernel, members)
-    a, b = kernel.ends[kernel.columns].T
-    k = np.ones(ratios.shape[:-1] + kernel.is_column.shape)
-    k[..., kernel.columns] = effective_length_factor_sway(ratios[..., a], ratios[..., b])
-    return k
+    ratios = _joint_stiffness_ratios(kernel, members).take(kernel.end_nodes, axis=-1)
+    return effective_length_factor_sway(ratios[..., 0, :], ratios[..., 1, :])
 
 
 def constraint_values(model: FrameModel, assignment, result: AnalysisResult,
@@ -246,10 +244,12 @@ def constraint_values(model: FrameModel, assignment, result: AnalysisResult,
         parts.append(result.story_drifts / result.story_heights - cs.interstory_index_RI)
     if "lrfd_interaction" in cs.families:
         kernel = model._kernel
-        members = np.take(block, kernel.group, axis=-2)
-        E, fy = model.elastic_modulus, model.yield_stress
+        members = block.take(kernel.group, axis=-2)
+        fy = model.yield_stress
         area = members[..., AREA]
-        axial = result.member_forces[..., 0]
+        # beams carry negligible axial force in these frames, so they are
+        # checked in bending alone: an axial ratio of 0 gives moment_ratio - 1
+        axial = np.where(kernel.is_column, result.member_forces[..., 0], 0.0)
         max_moment = np.maximum(np.abs(result.member_forces[..., 2]),
                                 np.abs(result.member_forces[..., 3]))
         m_n = members[..., PLASTIC_MODULUS] * fy
@@ -257,15 +257,12 @@ def constraint_values(model: FrameModel, assignment, result: AnalysisResult,
         # weak-axis slenderness
         min_radius = np.minimum(members[..., RADIUS_X], members[..., RADIUS_Y])
         lambda_c = (_member_k_factors(kernel, members, cs) * kernel.length) \
-            / (min_radius * math.pi) * math.sqrt(fy / E)
+            / (min_radius * math.pi) * kernel.slenderness_scale
         p_n = area * column_critical_stress(lambda_c, fy)
-        axial_ratio = np.where(axial < 0,  # compression
-                               -axial / (PHI_COMPRESSION * p_n),
-                               axial / (PHI_TENSION * area * fy))
-        # beams carry negligible axial force in these frames
-        parts.append(np.where(kernel.is_column,
-                              lrfd_interaction_value(axial_ratio, moment_ratio),
-                              moment_ratio - 1.0))
+        # -axial / c has the bits of axial / -c
+        axial_ratio = axial / np.where(axial < 0,  # compression
+                                       -(PHI_COMPRESSION * p_n), PHI_TENSION * area * fy)
+        parts.append(lrfd_interaction_value(axial_ratio, moment_ratio))
     return np.concatenate(parts, axis=-1)
 
 

@@ -196,6 +196,7 @@ class _Kernel:
         if errors:
             raise ValueError("\n".join(errors))
         self.ends = members[:, :2]
+        self.end_nodes = np.ascontiguousarray(self.ends.T)  # (2, m): a ends, b ends
         self.group = members[:, 2]
         dx, dy = (nodes[members[:, 1]] - nodes[members[:, 0]]).T
         self.length = np.hypot(dx, dy)
@@ -203,7 +204,6 @@ class _Kernel:
                                         minlength=model.n_groups)
         self.is_column = np.array([r == "column" for r in model.group_roles],
                                   dtype=bool)[self.group]
-        self.columns = np.flatnonzero(self.is_column)
         # sway K factors: member ends in order a0, b0, a1, ...; column ends
         # sum into their node's bin, beam ends into the bin n past it
         self.joint_bins = self.ends.ravel() \
@@ -232,9 +232,16 @@ class _Kernel:
             self.rot_fixed[node] |= "rot" in dofs
             fixed.update(3 * node + DOF_NAMES.index(d) for d in dofs)
         self.fixed = np.array(sorted(fixed), dtype=np.intp)
+        # sway K factors' recommended joint ratio at a fixed base (1) and a
+        # pinned one (10), and the slenderness factor sqrt(fy / E)
+        self.support_ratio = np.where(self.rot_fixed, 1.0, 10.0)
+        self.slenderness_scale = np.sqrt(model.yield_stress / E)
         self.loads = np.zeros(self.n_dof)
         for node, fx, fy, m in model.loads:
             self.loads[3 * node:3 * node + 3] += (fx, fy, m)
+        self.fixed_loads = self.loads[self.fixed]
+        # the equilibrium guard's tolerance on a free DOF's imbalance
+        self.guard_tol = 1e-8 * max(np.abs(self.loads).sum(), 1.0)
 
         is_free = np.ones(self.n_dof, dtype=bool)
         is_free[self.fixed] = False
@@ -274,7 +281,7 @@ class _Kernel:
         ``A * stiffness_per_area + I * stiffness_per_inertia``, as a skipped
         area term is an exact zero."""
         ke = inertia[:, None, None] * self.stiffness_per_inertia
-        ke.reshape(-1)[self.area_at] += area[self.area_member] * self.area_values
+        np.add.at(ke.reshape(-1), self.area_at, area[self.area_member] * self.area_values)
         return ke
 
     def instability(self, free_index) -> StructuralInstabilityError:
@@ -339,9 +346,8 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
     stack = block.reshape(-1, *block.shape[-2:])
     area, inertia = stack[:, kernel.group, AREA], stack[:, kernel.group, INERTIA]
     p, n_free, bw = len(stack), kernel.free.size, kernel.bandwidth
-    u, residual = np.zeros((2, p, kernel.n_dof))
+    u, residual = np.zeros((p, kernel.n_dof)), np.empty((p, kernel.n_dof))
     forces = np.empty((p, kernel.group.size, len(_FORCE_ROWS)))
-    applied = np.abs(kernel.loads).sum()
     # one design at a time, in stack order: its (m, 6, 6) element matrices
     # are small enough to be reused memory, where a stack's would be fresh
     # pages, and the first unstable design raises
@@ -354,8 +360,9 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
             raise kernel.instability(info - 1)
         # a mechanism can survive factorization with a roundoff-sized pivot;
         # stable frames here sit many orders above this threshold
-        weakest = int(np.argmin(cb[-1]))
-        if (cb[-1, weakest] / cb[-1].max()) ** 2 < 1e-13:
+        pivots = cb[-1]
+        weakest = int(pivots.argmin())
+        if (pivots[weakest] / pivots.max()) ** 2 < 1e-13:
             raise kernel.instability(weakest)
 
         u[r][kernel.free] = dpbtrs(cb, kernel.free_loads)[0]
@@ -364,8 +371,8 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
         residual[r] = np.bincount(kernel.dofs.ravel(), end_forces.ravel(),
                                   minlength=kernel.n_dof)
         # equilibrium guard: K u matches the applied loads at the free DOFs
-        imbalance = np.abs(residual[r, kernel.free] - kernel.free_loads).max()
-        if imbalance > 1e-8 * max(applied, 1.0):
+        imbalance = np.abs(residual[r][kernel.free] - kernel.free_loads).max()
+        if imbalance > kernel.guard_tol:
             raise kernel.instability(weakest)
         # the end forces rotated to the member axis
         forces[r] = np.einsum("mij,mj->mi", kernel.force_rotation, end_forces)
@@ -380,12 +387,12 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
         return a.reshape(lead + a.shape[1:])[()]
 
     return AnalysisResult(
-        displacements=unstack(u.reshape(p, -1, 3)),
+        displacements=u.reshape(lead + (-1, 3)),
         member_forces=unstack(forces),
-        reactions=unstack(residual[:, kernel.fixed] - kernel.loads[kernel.fixed]),
+        reactions=unstack(residual[:, kernel.fixed] - kernel.fixed_loads),
         max_lateral_displacement=unstack(np.abs(ux).max(axis=1)),
-        story_drifts=unstack(np.abs(drifts)),
-        story_heights=kernel.story_heights.copy(),
+        story_drifts=unstack(np.abs(drifts, out=drifts)),
+        story_heights=kernel.story_heights,
     )
 
 

@@ -47,8 +47,8 @@ def interaction_matrix(f, lower, upper, eta=DEFAULT_ETA) -> InteractionMatrix:
     ``f`` is called once per stencil point, in stencil order.  ``eta``
     (finite, >= 0) scales the adjacency threshold: a pair is flagged as
     interacting when lambda exceeds eta times the largest objective
-    magnitude on its stencil (floored at 1).  Evaluation errors propagate
-    with the failing point attached.
+    magnitude on its stencil (floored at 1).  Evaluation errors, and a
+    non-finite objective value, raise RuntimeError naming the first such point.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -73,6 +73,9 @@ def interaction_matrix(f, lower, upper, eta=DEFAULT_ETA) -> InteractionMatrix:
         except Exception as exc:
             raise RuntimeError(
                 f"objective evaluation failed at point {x.tolist()}") from exc
+    if not np.isfinite(values).all():  # a nan would read as a separable pair
+        k = np.flatnonzero(~np.isfinite(values))[0]
+        raise RuntimeError(f"objective is {values[k]} at point {points[k].tolist()}")
 
     f0, fi, fj, fij = values[0], values[1 + i], values[1 + j], values[pair]
     magnitude = np.maximum(1.0, np.abs(np.broadcast_arrays(f0, fi, fj, fij)).max(axis=0))

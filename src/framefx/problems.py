@@ -259,7 +259,7 @@ def _compile_frame(doc) -> Problem:
         for pool, groups in zip(distinct, pool_groups):
             block[groups] = interpolated_properties(pool, areas[groups])
         weight, g = score(block)
-        return weight + penalty_scale * float(np.maximum(g, 0.0).sum())
+        return weight + penalty_scale * float(np.maximum(g, 0.0, out=g).sum())
 
     context = FrameContext(model=model, pools=tuple(pools), constraint_set=cs,
                            strategy_defaults=defaults)

@@ -246,12 +246,15 @@ def interpolated_properties(pool: SectionPool, area) -> np.ndarray:
     strength checks of actual designs.
     """
     areas = pool.areas
-    a = np.clip(area, areas[0], areas[-1])
-    # np.interp's arithmetic: the last row j at or below a, taken as it is
-    # where a equals its area and continued along its slope above it
-    j = np.searchsorted(areas, a, side="right") - 1
-    row, offset = pool.properties[j], (a - areas[j])[..., None]
-    rows = np.where(offset == 0, row, pool.slopes[j] * offset + row)
+    a = np.minimum(np.maximum(area, areas[0]), areas[-1])  # np.clip's bits
+    # np.interp's arithmetic: j is the last row at or below a (as a >= areas[0],
+    # the count of the later rows at or below a), continued along its slope
+    # above its area and taken as it is at its area
+    j = areas[1:].searchsorted(a, side="right")
+    row = pool.properties[j]
+    offset = (a - row[..., AREA])[..., None]
+    rows = pool.slopes[j] * offset + row
+    np.copyto(rows, row, where=offset == 0)
     rows[..., AREA] = a
     return rows
 

@@ -174,6 +174,26 @@ class TestInteractions:
         assert code == 0
         assert "interacting pairs=0" in capsys.readouterr().out
 
+    def test_non_finite_objective_exits_2(self, tmp_path, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from framefx import harness
+
+        real_sphere = harness.sphere_problem
+
+        def nan_sphere(dimension=5):
+            problem = real_sphere(dimension=dimension)
+            # nan at the pair point, where both variables sit at their midpoint 0
+            problem.probe = replace(problem.probe, f=lambda x: 0.0 if x.any() else np.nan)
+            return problem
+
+        monkeypatch.setattr(harness, "sphere_problem", nan_sphere)
+        code = run_cli("interactions", "--problem", "sphere", "--dimension", "2",
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert "objective is nan at point" in capsys.readouterr().err
+        assert not (tmp_path / "sphere-2-interactions").exists()
+
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

@@ -21,7 +21,12 @@ from framefx.problems import SteppedColumnSpec, attach_fx, frame_problem, \
     sphere_problem, stepped_column_problem
 from framefx.sections import AREA, INERTIA
 
+from test_property_blocks import _stress_config
+
 COLUMN = SteppedColumnSpec(segment_count=12)
+# frames given by config doc rather than bundled name: the stress family and
+# fixed-K LRFD, which no bundled frame uses
+FRAME_DOCS = {"frame-8story-stress": _stress_config()}
 
 
 @functools.cache
@@ -35,7 +40,7 @@ def problem(name):
         base = stepped_column_problem(COLUMN)
         score = functools.partial(oracle.column_score, COLUMN)
     else:
-        base = frame_problem(kind)
+        base = frame_problem(FRAME_DOCS.get(kind, kind))
         score = functools.partial(oracle.frame_score, base)
     if strategy == "fx":
         reduced = attach_fx(base)
@@ -57,7 +62,7 @@ def generation(prob, name, rng, p):
 
 
 @pytest.mark.parametrize("name", [
-    "frame-8story-1bay", "frame-8story-1bay:fx",
+    "frame-8story-1bay", "frame-8story-1bay:fx", "frame-8story-stress",
     "frame-15story-3bay", "frame-24story-3bay", "frame-24story-3bay:fx",
     "column", "column:ifx", "column:fx", "sphere",
 ])

@@ -74,6 +74,17 @@ class TestInteractionMatrix:
         with pytest.raises(RuntimeError, match="failed at point"):
             interaction_matrix(f, np.zeros(3), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_names_its_point(self, bad):
+        # a nan magnitude compares as no interaction, so the pair (0, 2)
+        # would read as separable
+        def f(x):
+            return bad if x[0] > 0 and x[2] > 0 else float(np.sum(x))
+
+        with pytest.raises(RuntimeError,
+                           match=rf"objective is {bad} at point \[0\.5, 0\.0, 0\.5\]"):
+            interaction_matrix(f, np.zeros(3), np.ones(3))
+
     def test_needs_two_variables(self):
         with pytest.raises(ValueError):
             interaction_matrix(lambda x: 0.0, np.zeros(1), np.ones(1))

@@ -17,6 +17,7 @@ from framefx.problems import frame_problem
 from framefx.sections import PROPERTIES, SectionPool, SectionShape, circular_properties, \
     interpolated_properties, load_bundled_pool, property_block
 
+import fea_oracle as oracle
 from fea_oracle import interpolated_shape, member_values, round_indices
 
 POOLS = {
@@ -50,16 +51,21 @@ def probe_areas(pool):
 
 
 def old_scores(problem, shapes):
+    """Weight and constraint values of a tuple of shapes by the oracle's
+    per-design scoring (scipy's banded solver, member-by-member lengths and
+    the constraint code from before designs were stacked), not by the live
+    fea.analyze, constraint_values and frame_weight."""
     frame = problem.frame
-    result = fea.analyze(frame.model, shapes)
-    g = constraint_values(frame.model, shapes, result, frame.constraint_set)
-    return fea.frame_weight(frame.model, shapes), g
+    block = np.array([shape.row for shape in shapes])
+    result = oracle.banded_analyze(frame.model, block)
+    g = oracle.block_constraint_values(frame.model, block, result, frame.constraint_set)
+    return oracle.frame_weight(frame.model, shapes), g
 
 
 def old_probe(problem, areas):
     pools = problem.frame.pools
     largest = tuple(pool[len(pool) - 1] for pool in pools)
-    penalty_scale = 2.0 * fea.frame_weight(problem.frame.model, largest)
+    penalty_scale = 2.0 * oracle.frame_weight(problem.frame.model, largest)
     weight, g = old_scores(problem, tuple(interpolated_shape(pool, a)
                                           for pool, a in zip(pools, areas)))
     return weight + penalty_scale * float(np.maximum(g, 0.0).sum())
