@@ -5,15 +5,17 @@
 
 The commands run in process through ``framefx.cli.main`` into a temporary
 output root: three frame plans at small budgets (one with ``--jobs 2``), the
-stepped column, a sphere plan whose ifx and fx cells write failed records,
-``interactions`` on each bundled frame and ``plot`` on the root.  Every file
-under the root is hashed, keyed by its path relative to the root.  Console
-output is not hashed, because it carries the root's path.
+stepped column, a 10-segment column whose last generation is partial, a
+sphere plan whose ifx and fx cells write failed records, ``interactions`` on
+each bundled frame and ``plot`` on the root.  Every file under the root is
+hashed, keyed by its path relative to the root.  Console output is not
+hashed, because it carries the root's path.
 
 ``tests/digests.json`` is stamped with the package version, ``fea.KERNEL_ID``
 and the numpy and scipy versions; ``tests/test_digests.py`` reruns the list
 and names each file that moved, was added or is missing.  Regenerate the file
-only together with a ``KERNEL_ID`` or manifest-format bump.
+only together with a ``KERNEL_ID`` or manifest-format bump, or to add a
+command, with every existing entry keeping its bytes.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ COMMANDS = [
     "run --config frame-8story-1bay --trials 2 --pop 8 --max-fe 160 --jobs 1",
     "run --config frame-15story-3bay --trials 2 --pop 10 --max-fe 40 --jobs 2",
     "run --problem stepped-column --trials 1 --jobs 1",
+    "run --problem stepped-column --segments 10 --trials 2 --pop 7 --max-fe 75 --jobs 1",
     "run --problem sphere --trials 2 --pop 6 --max-fe 24 --jobs 1",
     *(f"interactions --config {name}" for name in sorted(BUNDLED_CONFIGS)),
     "plot",
