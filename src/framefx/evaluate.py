@@ -126,8 +126,7 @@ class GMaxTracker:
 
     def merge(self, violations_batch):
         """Fold a generation's violations, one row per design, into the snapshot."""
-        g = np.asarray(violations_batch, dtype=float)
-        self.gmax = np.maximum(self.gmax, g.max(axis=0))
+        self.gmax = np.maximum(self.gmax, np.maximum.reduce(violations_batch, axis=0))
 
 
 def penalized_fitness(objective, normalized_violation_G, f_max_feasible) -> float:

@@ -284,7 +284,11 @@ class _Kernel:
         np.add.at(ke.reshape(-1), self.area_at, area[self.area_member] * self.area_values)
         return ke
 
-    def instability(self, free_index) -> StructuralInstabilityError:
+    def instability(self, free_index, design=0, checked=0.0) -> Exception:
+        """A failed check's error: a ValueError naming ``design`` when the
+        ``checked`` values are nan or inf, as a nan or inf property makes them."""
+        if not np.isfinite(checked).all():
+            return ValueError(f"design {design}: a section property is nan or inf")
         dof = int(self.free[min(free_index, self.free.size - 1)])
         return StructuralInstabilityError(dof // 3, DOF_NAMES[dof % 3])
 
@@ -362,8 +366,8 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
         # stable frames here sit many orders above this threshold
         pivots = cb[-1]
         weakest = int(pivots.argmin())
-        if (pivots[weakest] / pivots.max()) ** 2 < 1e-13:
-            raise kernel.instability(weakest)
+        if not (pivots[weakest] / np.maximum.reduce(pivots)) ** 2 >= 1e-13:
+            raise kernel.instability(weakest, r, pivots)
 
         u[r][kernel.free] = dpbtrs(cb, kernel.free_loads)[0]
         end_forces = np.einsum("mij,mj->mi", ke, u[r][kernel.dofs])
@@ -371,9 +375,9 @@ def analyze(model: FrameModel, assignment) -> AnalysisResult:
         residual[r] = np.bincount(kernel.dofs.ravel(), end_forces.ravel(),
                                   minlength=kernel.n_dof)
         # equilibrium guard: K u matches the applied loads at the free DOFs
-        imbalance = np.abs(residual[r][kernel.free] - kernel.free_loads).max()
-        if imbalance > kernel.guard_tol:
-            raise kernel.instability(weakest)
+        imbalance = np.maximum.reduce(np.abs(residual[r][kernel.free] - kernel.free_loads))
+        if not imbalance <= kernel.guard_tol:
+            raise kernel.instability(weakest, r, imbalance)
         # the end forces rotated to the member axis
         forces[r] = np.einsum("mij,mj->mi", kernel.force_rotation, end_forces)
 

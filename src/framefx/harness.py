@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -367,8 +368,7 @@ def _write_histories(plan_dir, plan, records):
     hist_dir = Path(plan_dir) / "histories"
     hist_dir.mkdir(exist_ok=True)
     for cell, (fe, best, infeas) in cell_histories(plan, records).items():
-        lines = ["fe,best,infeasible_fraction"]
-        for k in range(fe.size):
-            b = "" if np.isnan(best[k]) else repr(float(best[k]))
-            lines.append(f"{int(fe[k])},{b},{float(infeas[k])!r}")
+        lines = ["fe,best,infeasible_fraction"] + [
+            f"{e},{'' if math.isnan(b) else repr(b)},{i!r}"
+            for e, b, i in zip(fe.tolist(), best.tolist(), infeas.tolist())]
         _atomic_write_text(hist_dir / f"{cell}.csv", "\n".join(lines) + "\n")

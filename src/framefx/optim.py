@@ -133,8 +133,8 @@ def reflect_at_bounds(positions, velocities, lower, upper):
     component that crossed a bound, both in place.  Returns (positions,
     velocities)."""
     crossed = (positions < lower) | (positions > upper)
-    np.clip(positions, lower, upper, out=positions)
-    np.negative(velocities, out=velocities, where=crossed)
+    np.minimum(np.maximum(positions, lower, out=positions), upper, out=positions)
+    np.copyto(velocities, -velocities, where=crossed)  # a masked negative is slower
     return positions, velocities
 
 
@@ -164,8 +164,8 @@ class _RunState:
         self.fe_used += len(X)
         f = np.asarray(ev.objective, dtype=float)
         g = ev.violations
-        finite = np.isfinite(f) & np.isfinite(g).all(axis=1)
-        if not finite.all():
+        if not (np.isfinite(f).all() and np.isfinite(g).all()):
+            finite = np.isfinite(f) & np.isfinite(g).all(axis=1)
             raise ValueError(f"non-finite objective or violation at design "
                              f"{X[np.argmin(finite)].tolist()}")
         self.tracker.merge(g)
@@ -177,23 +177,22 @@ class _RunState:
         return f, g, infeasible
 
     def improved(self, held, new) -> np.ndarray:
-        """Rows where the new design's key is lexicographically smaller than
-        the held one's, both (f, g, infeasible) on the current GMax snapshot:
-        exactly where deb_compare(held, new) > 0."""
+        """Mask of the rows where the new design's key is lexicographically
+        smaller than the held one's, both (f, g, infeasible) on the current
+        GMax snapshot: exactly where deb_compare(held, new) > 0."""
         (f, g, infeasible), (new_f, new_g, new_infeasible) = held, new
         if (infeasible & new_infeasible).any():
             held_G, new_G = self.tracker.normalize(np.stack((g, new_g)))
             f = np.where(infeasible, held_G, f)
             new_f = np.where(new_infeasible, new_G, new_f)
-        return np.flatnonzero(np.where(infeasible == new_infeasible, new_f < f,
-                                       infeasible))
+        return np.where(infeasible == new_infeasible, new_f < f, infeasible)
 
     def argbest(self, f, g, infeasible) -> int:
         """Index of the first lexicographic minimum of the key: what a
-        sequential scan that keeps the incumbent on ties would end on."""
-        if infeasible.all():
-            return int(np.argmin(self.tracker.normalize(g)))
-        return int(np.argmin(np.where(infeasible, np.inf, f)))
+        sequential scan that keeps the incumbent on ties would end on.  The
+        feasible scan ends on an infeasible design only when all are."""
+        i = int(np.where(infeasible, np.inf, f).argmin())
+        return int(self.tracker.normalize(g).argmin()) if infeasible[i] else i
 
     def remaining(self) -> int:
         return self.config.max_fe - self.fe_used
@@ -239,8 +238,10 @@ def pso_run(problem: Problem, config: OptimizerConfig, strategy="none") -> RunRe
     state = _RunState(problem, config, strategy)
     X = initialize_population(problem, config, strategy, rng=init_rng)
     pop, n = X.shape
-    lower, upper = problem.lower, problem.upper
+    # bounds as (pop, n) rows: ufuncs on equal shapes skip the broadcast loop
+    lower, upper = np.tile(problem.lower, (pop, 1)), np.tile(problem.upper, (pop, 1))
     v_max = config.v_max_fraction * (upper - lower)
+    v_min = -v_max
     V = np.zeros_like(X)
 
     f, g, infeasible = state.evaluate(X)
@@ -255,23 +256,24 @@ def pso_run(problem: Problem, config: OptimizerConfig, strategy="none") -> RunRe
 
     while state.remaining() > 0:
         m = min(pop, state.remaining())
-        r1 = rng.random((pop, n))
-        r2 = rng.random((pop, n))
+        r1, r2 = rng.random((2, pop, n))  # the stream of two (pop, n) draws
         V = (config.inertia * V
              + config.cognitive * r1 * (pbest_X - X)
              + config.social * r2 * (gbest_x - X))
-        np.clip(V, -v_max, v_max, out=V)
-        X_new, V = reflect_at_bounds(X + V, V, lower, upper)
-        # with a partial budget only the first m particles move this generation
-        X[:m] = X_new[:m]
+        np.minimum(np.maximum(V, v_min, out=V), v_max, out=V)
+        # with a partial budget every particle moves but only the first m are
+        # evaluated; it is the last generation, so the others are never read
+        X += V
+        reflect_at_bounds(X, V, lower, upper)
         f[:m], g[:m], infeasible[:m] = state.evaluate(X[:m])
         state.record_history(infeasible)
 
         better = state.improved(
             (best_f[1:m + 1], best_g[1:m + 1], best_infeasible[1:m + 1]),
             (f[:m], g[:m], infeasible[:m]))
-        for kept, new in zip(held, (X, f, g, infeasible)):
-            kept[better + 1] = new[better]
+        rows = better[:, None]
+        for kept, new, where in zip(held, (X, f, g, infeasible), (rows, better, rows, better)):
+            np.copyto(kept[1:m + 1], new[:m], where=where)
         best = state.argbest(best_f[:m + 1], best_g[:m + 1], best_infeasible[:m + 1])
         if best:
             for kept in held:
@@ -291,7 +293,7 @@ def de_run(problem: Problem, config: OptimizerConfig, strategy="none") -> RunRec
     state = _RunState(problem, config, strategy)
     X = initialize_population(problem, config, strategy, rng=init_rng)
     pop, n = X.shape
-    lower, upper = problem.lower, problem.upper
+    lower, upper = np.tile(problem.lower, (pop, 1)), np.tile(problem.upper, (pop, 1))
 
     f, g, infeasible = state.evaluate(X)
     state.record_history(infeasible)
@@ -299,20 +301,22 @@ def de_run(problem: Problem, config: OptimizerConfig, strategy="none") -> RunRec
     while state.remaining() > 0:
         m = min(pop, state.remaining())
         draw = rng.random((m, pop))
-        draw[np.arange(m), np.arange(m)] = 2.0  # never draw the target itself
-        donors = np.argsort(draw, axis=1)[:, :3]
+        draw.reshape(-1)[::pop + 1] = 2.0  # never draw the target itself
+        a, b, c = X[draw.argsort(axis=1)[:, :3].T]
         j_rand = rng.integers(0, n, size=m)
         cross = rng.random((m, n)) < config.crossover_cr
         cross[np.arange(m), j_rand] = True
 
-        mutants = X[donors[:, 0]] + config.scale_f * (X[donors[:, 1]] - X[donors[:, 2]])
-        np.clip(mutants, lower, upper, out=mutants)  # return to the violated bound
+        mutants = a + config.scale_f * (b - c)
+        np.minimum(np.maximum(mutants, lower[:m], out=mutants), upper[:m], out=mutants)
         trials = np.where(cross, mutants, X[:m])
 
         trial = state.evaluate(trials)
         won = state.improved((f[:m], g[:m], infeasible[:m]), trial)
-        for kept, new in zip((X, f, g, infeasible), (trials, *trial)):
-            kept[won] = new[won]
+        rows = won[:, None]
+        for kept, new, where in zip((X, f, g, infeasible), (trials, *trial),
+                                    (rows, won, rows, won)):
+            np.copyto(kept[:m], new, where=where)
         state.record_history(infeasible)
 
     best = state.argbest(f, g, infeasible)

@@ -139,7 +139,7 @@ class SteppedColumnSpec:
 def stepped_column_problem(spec: SteppedColumnSpec | None = None) -> Problem:
     spec = spec or SteppedColumnSpec()
     n = spec.segment_count
-    moments = spec.moments
+    four_moments = 4.0 * spec.moments  # bending stress 4 M / (pi r^3), computed once
     rho_l_pi = spec.density * spec.segment_length * math.pi
     # fixed penalty scale: worst-case weight, so the probe is stateless
     penalty_scale = rho_l_pi * n * spec.radius_max**2
@@ -147,7 +147,7 @@ def stepped_column_problem(spec: SteppedColumnSpec | None = None) -> Problem:
     def evaluate(x) -> Evaluation:
         r = np.asarray(x, dtype=float)
         weight = rho_l_pi * _row_dot(r, r)
-        sigma = 4.0 * moments / (math.pi * r**3)
+        sigma = four_moments / (math.pi * r**3)
         return Evaluation(objective=weight, violations=sigma - spec.allowable_stress)
 
     # weight-plus-penalty relaxation for interaction analysis; the penalty
@@ -162,7 +162,7 @@ def stepped_column_problem(spec: SteppedColumnSpec | None = None) -> Problem:
         weight = rho_l_pi * float(np.dot(r, r))
         carried = np.cumsum((spec.density * spec.segment_length * area)[::-1])[::-1]
         gravity_kn = carried * 9.81e-3  # kg -> kN
-        sigma = gravity_kn / area + 4.0 * moments / (math.pi * r**3)
+        sigma = gravity_kn / area + four_moments / (math.pi * r**3)
         overshoot = np.maximum(sigma / spec.allowable_stress - 1.0, 0.0)
         return weight + penalty_scale * float(overshoot.sum())
 
@@ -291,8 +291,9 @@ def attach_fx(problem: Problem) -> Problem:
     n = problem.dimension
     validate_rules(rules, problem.domains)
 
-    untouched = np.setdiff1d(np.arange(n),
-                             [i for r in rules for i in r.replaced_variable_ids])
+    replaced = np.zeros(n, dtype=bool)
+    replaced[[i for r in rules for i in r.replaced_variable_ids]] = True
+    untouched = np.flatnonzero(~replaced)
 
     reduced_domains = []
     compiled = []  # per rule: (ids, heights, base domain, offset of its parameters)
@@ -322,9 +323,10 @@ def attach_fx(problem: Problem) -> Problem:
                 base_index = _catalog_index(xr[..., k], dom.lower, dom.upper)
                 full[..., ids] = expand_discrete(base_index, alpha, heights, dom.pool)
             else:
-                base_value = np.clip(xr[..., k], dom.lower, dom.upper)
+                base_value = np.minimum(np.maximum(xr[..., k], dom.lower), dom.upper)
                 values = expand_continuous(base_value, alpha, heights)
-                full[..., ids] = np.clip(values, dom.lower, dom.upper)
+                np.minimum(np.maximum(values, dom.lower, out=values), dom.upper, out=values)
+                full[..., ids] = values
         full[..., untouched] = xr[..., n_params:]
         return full
 

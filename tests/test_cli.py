@@ -538,13 +538,17 @@ STARTUP_SCRIPT = textwrap.dedent("""
     from pathlib import Path
 
     from framefx.cli import main
-    from framefx.harness import ExperimentPlan, load_records, summarize
+    from framefx.harness import ExperimentPlan, attach_fx, build_problem, load_records, \
+        summarize
 
     out = Path(sys.argv[1])
     try:
         main(["--help"])
     except SystemExit as done:
         assert done.code == 0
+    for spec in ({"kind": "stepped-column"}, {"kind": "frame", "config": "frame-8story-1bay"}):
+        attach_fx(build_problem(spec))
+    loaded = {"numpy.ma": "numpy.ma" in sys.modules}
     assert main(["run", "--problem", "stepped-column", "--trials", "1",
                  "--pop", "6", "--max-fe", "24", "--jobs", "1",
                  "--out", str(out)]) == 0
@@ -554,7 +558,7 @@ STARTUP_SCRIPT = textwrap.dedent("""
     plan = ExperimentPlan.from_manifest(json.loads((plan_dir / "plan.json").read_text()))
     summaries = summarize(plan, load_records(plan_dir, plan))
     assert main(["plot", str(plan_dir)]) == 0
-    loaded = {"cells": len(summaries), "column": "scipy.linalg" in sys.modules}
+    loaded |= {"cells": len(summaries), "column": "scipy.linalg" in sys.modules}
 
     from framefx.fea import analyze
     from framefx.problems import frame_problem
@@ -568,7 +572,8 @@ STARTUP_SCRIPT = textwrap.dedent("""
 
 def test_only_a_frame_solve_imports_scipy_linalg(tmp_path):
     """The column's run, interactions, summary and plot and ``--help`` start
-    without scipy.linalg, the largest import; the first frame solve loads it."""
+    without scipy.linalg, the largest import; the first frame solve loads it.
+    Building and reducing the column and a frame does not import numpy.ma."""
     src = str(Path(framefx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -576,4 +581,4 @@ def test_only_a_frame_solve_imports_scipy_linalg(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"cells": 6, "column": False, "frame": True}
+    assert loaded == {"cells": 6, "column": False, "frame": True, "numpy.ma": False}

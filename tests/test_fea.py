@@ -10,7 +10,8 @@ from framefx.fea import (
     frame_weight,
     member_max_stress,
 )
-from framefx.sections import circular_properties
+from framefx.problems import frame_problem
+from framefx.sections import AREA, INERTIA, circular_properties
 
 from conftest import make_shape, portal_frame, vertical_column
 
@@ -220,6 +221,28 @@ class TestInstability:
         monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", off_by_a_millionth)
         with pytest.raises(StructuralInstabilityError):
             analyze(model, assignment)
+
+    def test_nan_solve_fails_equilibrium_guard_as_value_error(self, monkeypatch):
+        model, assignment = portal_frame(350.0, 600.0, circular_properties(9.0),
+                                         circular_properties(7.0),
+                                         ((2, 13.0, -40.0, 25.0),), elastic_modulus=E)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs",
+                            lambda cb, b: (np.full_like(b, np.nan), 0))
+        with pytest.raises(ValueError, match="design 0: "):
+            analyze(model, assignment)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("prop", [AREA, INERTIA], ids=["area", "inertia"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nan_or_inf_section_property_names_the_design(self, prop, bad):
+        frame = frame_problem("frame-8story-1bay").frame
+        block = np.array([pool.properties[len(pool) // 2] for pool in frame.pools])
+        broken = block.copy()
+        broken[3, prop] = bad
+        with pytest.raises(ValueError, match="design 0: a section property is nan or inf"):
+            analyze(frame.model, broken)
+        with pytest.raises(ValueError, match="design 1: "):
+            analyze(frame.model, np.stack((block, broken, block)))
 
 
 class TestMemberStress:

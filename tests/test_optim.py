@@ -59,10 +59,11 @@ class TestSphereSmoke:
 
     def test_partial_final_generation(self):
         problem = sphere_problem(dimension=4)
-        record = run_optimizer(problem, config("de", pop=20, max_fe=207))
-        assert record.fe_used == 207
-        length = len(record.best_history)
-        assert (length - 1) * 20 < 207 <= length * 20
+        for algorithm in ("pso", "de"):
+            record = run_optimizer(problem, config(algorithm, pop=20, max_fe=207))
+            assert record.fe_used == 207
+            length = len(record.best_history)
+            assert (length - 1) * 20 < 207 <= length * 20
 
 
 class TestBoundaryHandling:
@@ -268,7 +269,8 @@ class TestSelectionKeys:
         expected = deb_compare(_ranked(state, f, g), _ranked(state, new_f, new_g)) > 0
         held = (f, g, (g > 0).any(axis=1))
         new = (new_f, new_g, (new_g > 0).any(axis=1))
-        assert state.improved(held, new).tolist() == np.flatnonzero(expected).tolist()
+        assert np.flatnonzero(state.improved(held, new)).tolist() \
+            == np.flatnonzero(expected).tolist()
 
 
 class TestNonFiniteGuard:

@@ -1,4 +1,4 @@
-"""Best-of-N CPU times of the frame scoring calls, two checkouts side by side.
+"""Best-of-N CPU times of frame scoring and optimizer calls, two checkouts side by side.
 
     python3 tools/call_times.py --parent ../parent --change . --repeats 15
 
@@ -6,7 +6,9 @@ Loads ``framefx`` from each checkout's ``src/`` into one process, under two
 module names, and times the same calls on the 24-story frame: ``probe.f`` at
 every point of an interaction stencil (per point), and ``fea.analyze`` and
 ``evaluate.constraint_values`` on p = 1, 20 and 60 catalog designs (per
-call).  The two sides alternate repetition by repetition, so a slow spell of
+call).  The ``pso`` and ``de`` rows time a 51-generation ``run_optimizer``
+on the 50-segment stepped column at population 25, per generation (the
+initial one included).  The two sides alternate repetition by repetition, so a slow spell of
 a shared host falls on both.  Each time is thread CPU time, which a
 descheduled process does not accrue, and each number printed is the best of
 ``--repeats`` repetitions, in microseconds.  Run it with one BLAS thread
@@ -23,8 +25,8 @@ import time
 
 import numpy as np
 
-CALLS = ("probe.f", "analyze", "constraint_values")
 STACKS = (1, 20, 60)
+GENERATIONS, POPULATION = 51, 25
 
 
 def load(alias, checkout):
@@ -35,7 +37,7 @@ def load(alias, checkout):
     package = importlib.util.module_from_spec(spec)
     sys.modules[alias] = package
     spec.loader.exec_module(package)
-    for module in ("evaluate", "fea", "grouping", "problems"):
+    for module in ("evaluate", "fea", "grouping", "optim", "problems"):
         importlib.import_module(f"{alias}.{module}")
     return package
 
@@ -60,6 +62,10 @@ def cases(fx):
         out[f"analyze p={p}"] = (lambda b=block: fx.fea.analyze(model, b), 1)
         out[f"constraint_values p={p}"] = (
             lambda b=block, r=result: fx.evaluate.constraint_values(model, b, r, cs), 1)
+    column = fx.problems.stepped_column_problem()
+    for algorithm in fx.optim.ALGORITHMS:
+        config = fx.optim.OptimizerConfig(algorithm, POPULATION, GENERATIONS * POPULATION)
+        out[algorithm] = (lambda c=config: fx.optim.run_optimizer(column, c), GENERATIONS)
     return out
 
 
