@@ -8,11 +8,11 @@ every point of an interaction stencil (per point), and ``fea.analyze`` and
 ``evaluate.constraint_values`` on p = 1, 20 and 60 catalog designs (per
 call).  The ``pso`` and ``de`` rows time a 51-generation ``run_optimizer``
 on the 50-segment stepped column at population 25, per generation (the
-initial one included).  The two sides alternate repetition by repetition, so a slow spell of
-a shared host falls on both.  Each time is thread CPU time, which a
-descheduled process does not accrue, and each number printed is the best of
-``--repeats`` repetitions, in microseconds.  Run it with one BLAS thread
-(``OPENBLAS_NUM_THREADS=1``), as perfbench does.
+initial one included).  The two sides alternate repetition by repetition,
+so a slow spell of a shared host falls on both.  Each time is thread CPU
+time, which a descheduled process does not accrue, and each number printed
+is the best of ``--repeats`` repetitions, in microseconds.  Run it with one
+BLAS thread (``OPENBLAS_NUM_THREADS=1``), as perfbench does.
 """
 
 from __future__ import annotations
