@@ -6,7 +6,8 @@ interaction analysis, and an experiment harness comparing three search
 strategies (plain, profile-seeded initialization, fully reparameterized).
 """
 
-# set before the submodules load: harness stamps it into every plan manifest
+# the one place the version is written (pyproject.toml reads it); set before
+# the submodules load: harness stamps it into every plan manifest
 __version__ = "0.2.0"
 
 from .evaluate import ConstraintSet, Evaluation, deb_compare, penalized_fitness

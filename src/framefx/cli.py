@@ -282,7 +282,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ConfigError, PlanMismatchError, SectionTableError,
-            StructuralInstabilityError, FileNotFoundError) as exc:
+            StructuralInstabilityError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

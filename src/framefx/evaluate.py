@@ -85,8 +85,8 @@ class Evaluation:
     population of them when every field carries a leading design axis:
     objective (p,), violations (p, c), normalized_violation (p,).
 
-    ``normalized_violation`` is set only where designs are ranked, against a
-    GMaxTracker snapshot; a bare evaluation leaves it None."""
+    ``normalized_violation`` is None unless the caller sets it from a
+    GMaxTracker snapshot; deb_compare reads it to order infeasible designs."""
 
     objective: float
     violations: np.ndarray

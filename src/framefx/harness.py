@@ -21,7 +21,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +96,12 @@ def default_cell_settings(problem: Problem):
 class ExperimentPlan:
     name: str
     problem_spec: dict
+    population: dict           # per strategy
+    max_fe: dict               # per strategy
     strategies: tuple = STRATEGIES
     algorithms: tuple = ALGORITHMS
     trials: int = 51
     seed_base: int = 0
-    population: dict = field(default_factory=lambda: dict(FALLBACK_POPULATION))
-    max_fe: dict = field(default_factory=lambda: dict(FALLBACK_MAX_FE))
 
     def __post_init__(self):
         if self.trials < 1:
@@ -260,7 +260,7 @@ def summarize(plan: ExperimentPlan, records) -> list:
         recs = records[cell]
         finals = [r.final_objective for r in recs if not r.failed and r.final_feasible]
         failed = sum(r.failed for r in recs)
-        stats = (np.median(finals), np.mean(finals), np.min(finals), np.max(finals)) \
+        stats = (_median(finals), np.mean(finals), np.min(finals), np.max(finals)) \
             if finals else (float("nan"),) * 4
         summary = CellSummary(
             algorithm=algorithm, strategy=strategy, trials=len(recs),
@@ -275,6 +275,12 @@ def summarize(plan: ExperimentPlan, records) -> list:
         if s.strategy != "none" and s.algorithm in none_cells:
             s.improvement_vs_none_pct = improvement_vs_none(s, none_cells[s.algorithm])
     return summaries
+
+
+def _median(values) -> float:
+    """np.median's bits without the numpy.ma import of its first call."""
+    ordered, half = sorted(values), len(values) // 2
+    return ordered[half] if len(values) % 2 else (ordered[half - 1] + ordered[half]) / 2
 
 
 def improvement_vs_none(summary_cell: CellSummary, summary_none: CellSummary) -> float:

@@ -39,6 +39,15 @@ __all__ = [
 
 ALGORITHMS = ("pso", "de")
 
+# fixed coefficients: Clerc & Kennedy's constriction PSO (chi = 0.7298, chi * c
+# = 1.49618, |v| <= half the domain width) and Storn & Price's DE/rand/1/bin
+INERTIA = 0.7298
+COGNITIVE = 1.49618
+SOCIAL = 1.49618
+V_MAX_FRACTION = 0.5
+SCALE_F = 0.5
+CROSSOVER_CR = 0.9
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -46,14 +55,6 @@ class OptimizerConfig:
     population_size: int
     max_fe: int
     rng_seed: int = 0
-    # PSO coefficients (constriction-equivalent defaults)
-    inertia: float = 0.7298
-    cognitive: float = 1.49618
-    social: float = 1.49618
-    v_max_fraction: float = 0.5
-    # DE coefficients
-    scale_f: float = 0.5
-    crossover_cr: float = 0.9
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -240,7 +241,7 @@ def pso_run(problem: Problem, config: OptimizerConfig, strategy="none") -> RunRe
     pop, n = X.shape
     # bounds as (pop, n) rows: ufuncs on equal shapes skip the broadcast loop
     lower, upper = np.tile(problem.lower, (pop, 1)), np.tile(problem.upper, (pop, 1))
-    v_max = config.v_max_fraction * (upper - lower)
+    v_max = V_MAX_FRACTION * (upper - lower)
     v_min = -v_max
     V = np.zeros_like(X)
 
@@ -257,9 +258,9 @@ def pso_run(problem: Problem, config: OptimizerConfig, strategy="none") -> RunRe
     while state.remaining() > 0:
         m = min(pop, state.remaining())
         r1, r2 = rng.random((2, pop, n))  # the stream of two (pop, n) draws
-        V = (config.inertia * V
-             + config.cognitive * r1 * (pbest_X - X)
-             + config.social * r2 * (gbest_x - X))
+        V = (INERTIA * V
+             + COGNITIVE * r1 * (pbest_X - X)
+             + SOCIAL * r2 * (gbest_x - X))
         np.minimum(np.maximum(V, v_min, out=V), v_max, out=V)
         # with a partial budget every particle moves but only the first m are
         # evaluated; it is the last generation, so the others are never read
@@ -304,10 +305,10 @@ def de_run(problem: Problem, config: OptimizerConfig, strategy="none") -> RunRec
         draw.reshape(-1)[::pop + 1] = 2.0  # never draw the target itself
         a, b, c = X[draw.argsort(axis=1)[:, :3].T]
         j_rand = rng.integers(0, n, size=m)
-        cross = rng.random((m, n)) < config.crossover_cr
+        cross = rng.random((m, n)) < CROSSOVER_CR
         cross[np.arange(m), j_rand] = True
 
-        mutants = a + config.scale_f * (b - c)
+        mutants = a + SCALE_F * (b - c)
         np.minimum(np.maximum(mutants, lower[:m], out=mutants), upper[:m], out=mutants)
         trials = np.where(cross, mutants, X[:m])
 

@@ -355,8 +355,8 @@ def attach_fx(problem: Problem) -> Problem:
     )
 
 
-def sphere_problem(dimension=5, lower=-5.0, upper=5.0) -> Problem:
-    """Unconstrained sphere test function (smoke tests for the optimizers)."""
+def sphere_problem(dimension=5) -> Problem:
+    """Unconstrained sphere on the box [-5, 5]^dimension (optimizer smoke tests)."""
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
 
@@ -365,11 +365,11 @@ def sphere_problem(dimension=5, lower=-5.0, upper=5.0) -> Problem:
         return Evaluation(objective=_row_dot(x, x),
                           violations=np.zeros(x.shape[:-1] + (0,)))
 
-    lo = np.full(dimension, lower)
-    hi = np.full(dimension, upper)
+    lo = np.full(dimension, -5.0)
+    hi = np.full(dimension, 5.0)
     return Problem(
         name=f"sphere-{dimension}",
-        domains=(Domain("continuous", lower, upper),) * dimension,
+        domains=(Domain("continuous", -5.0, 5.0),) * dimension,
         n_constraints=0,
         evaluate=evaluate,
         decode=lambda x: {"x": [float(v) for v in np.asarray(x, dtype=float)]},

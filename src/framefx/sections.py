@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -139,14 +138,12 @@ class SectionPool:
 def load_section_table(source, label="") -> SectionPool:
     """Parse a section CSV (header row required) into a SectionPool.
 
-    ``source`` may be a text stream, bytes, or a path.  Rows are validated
+    ``source`` may be a text stream or a path.  Rows are validated
     and re-ordered ascending by area; all other content is preserved.
     """
-    if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
+    if isinstance(source, str) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return load_section_table(fh, label=label)
-    if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"))
 
     reader = csv.reader(source)
     try:
@@ -217,7 +214,7 @@ def pool_index_of_nearest_area(pool: SectionPool, target_area):
     return int(index) if index.ndim == 0 else index
 
 
-def circular_properties(radius: float, name=None) -> SectionShape:
+def circular_properties(radius: float) -> SectionShape:
     """Closed-form solid circular section properties for a given radius (cm)."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -225,7 +222,7 @@ def circular_properties(radius: float, name=None) -> SectionShape:
     area = math.pi * r**2
     inertia = math.pi * r**4 / 4.0
     return SectionShape(
-        name=name or f"CIRC-{r:g}",
+        name=f"CIRC-{r:g}",
         area=area,
         moment_of_inertia_x=inertia,
         section_modulus_x=inertia / r,          # = pi r^3 / 4

@@ -209,6 +209,8 @@ class TestInteractions:
      "needs at least two variables"),
     (("validate", "--problem", "sphere", "--dimension", "0"), "dimension must be >= 1"),
     (("validate", "--config", "nosuch"), "config file not found: nosuch"),
+    (("validate", "--config", "."), "Is a directory"),
+    (("sections", "--pool", "."), "Is a directory"),
     *(((command, "--problem", "sphere", "--config", "frame-8story-1bay"),
        "--problem sphere and --config frame-8story-1bay")
       for command in ("run", "interactions", "validate")),
@@ -220,6 +222,7 @@ class TestInteractions:
     (("validate", "--problem", "stepped-column", "--dimension", "0"),
      "--dimension applies to a sphere problem, not a stepped-column one"),
 ], ids=["eta-negative", "eta-nan", "one-segment", "sphere-dimension-0", "missing-config",
+        "directory-config", "directory-pool",
         "run-problem-and-config", "interactions-problem-and-config",
         "validate-problem-and-config", "column-and-sphere-options-on-frame",
         "column-option-on-sphere", "sphere-option-on-column"])
@@ -558,7 +561,8 @@ STARTUP_SCRIPT = textwrap.dedent("""
     plan = ExperimentPlan.from_manifest(json.loads((plan_dir / "plan.json").read_text()))
     summaries = summarize(plan, load_records(plan_dir, plan))
     assert main(["plot", str(plan_dir)]) == 0
-    loaded |= {"cells": len(summaries), "column": "scipy.linalg" in sys.modules}
+    loaded |= {"cells": len(summaries), "column": "scipy.linalg" in sys.modules,
+               "numpy.ma after plot": "numpy.ma" in sys.modules}
 
     from framefx.fea import analyze
     from framefx.problems import frame_problem
@@ -573,7 +577,8 @@ STARTUP_SCRIPT = textwrap.dedent("""
 def test_only_a_frame_solve_imports_scipy_linalg(tmp_path):
     """The column's run, interactions, summary and plot and ``--help`` start
     without scipy.linalg, the largest import; the first frame solve loads it.
-    Building and reducing the column and a frame does not import numpy.ma."""
+    Neither building and reducing the column and a frame nor the column's
+    commands and summary import numpy.ma."""
     src = str(Path(framefx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -581,4 +586,5 @@ def test_only_a_frame_solve_imports_scipy_linalg(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"cells": 6, "column": False, "frame": True, "numpy.ma": False}
+    assert loaded == {"cells": 6, "column": False, "frame": True, "numpy.ma": False,
+                      "numpy.ma after plot": False}

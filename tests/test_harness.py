@@ -253,6 +253,22 @@ def record_with(best, infeasible, pop=10, fe=None, **kw):
     return RunRecord(**defaults)
 
 
+class TestSummarize:
+    @pytest.mark.parametrize("count", range(1, 8))
+    def test_median_matches_numpy_bit_for_bit(self, count):
+        # the digests pin the median of one and two trials per cell only; an
+        # infeasible and a failed trial stay out of the statistics
+        rng = np.random.default_rng(count)
+        plan = tiny_plan(algorithms=("de",))
+        left_out = [record_with([1e9], [1.0], final_feasible=False),
+                    record_with([-1e9], [0.0], failed=True)]
+        for _ in range(200):
+            finals = (rng.normal(size=count) * 10.0 ** rng.integers(-3, 7, count)).tolist()
+            records = {"de-none": left_out + [record_with([f], [0.0]) for f in finals]}
+            (summary,) = harness.summarize(plan, records)
+            assert summary.median.hex() == float(np.median(finals)).hex()
+
+
 class TestMeanHistory:
     def test_single_record_is_identity(self):
         r = record_with([5.0, 4.0, 3.0], [0.5, 0.2, 0.0])

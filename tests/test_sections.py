@@ -70,11 +70,6 @@ class TestLoader:
         with pytest.raises(SectionTableError, match="row 2"):
             load_section_table(table(["A,x,100,20,24,3,2,9\n"]))
 
-    def test_byte_stream(self):
-        data = (HEADER + "A,10,100,20,24,3,2,9\n").encode()
-        pool = load_section_table(data)
-        assert pool[0].name == "A"
-
     def test_duplicate_area_tie_broken_by_depth(self):
         pool = load_section_table(table([
             "DEEP,10,100,20,24,3,2,12\n",
